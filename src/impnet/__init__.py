@@ -17,7 +17,6 @@ from .direct import (
 )
 from .errors import (
     ConvergenceError,
-    DegenerateConstructionError,
     DegenerateElementError,
     DisconnectedError,
     ImpnetError,
@@ -62,12 +61,10 @@ from .resonance import (
     sweep_resonances,
 )
 from .takagi import (
-    DEFAULT_DEGENERACY_REL_TOL,
     DEFAULT_ZERO_REL_TOL,
     TakagiDecomposition,
     ZeroModeClassification,
     classify_zero_modes,
-    hermitian_eigendecomposition,
     takagi_decompose,
 )
 
@@ -77,9 +74,7 @@ __all__ = [
     "Boundary",
     "Branch",
     "ConvergenceError",
-    "DEFAULT_DEGENERACY_REL_TOL",
     "DEFAULT_ZERO_REL_TOL",
-    "DegenerateConstructionError",
     "DegenerateElementError",
     "DetectionMethod",
     "DisconnectedError",

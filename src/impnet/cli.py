@@ -29,7 +29,7 @@ from .errors import ImpnetError
 from .impedance import ImpedanceResult, ImpedanceStatus, impedance_matrix, two_point_impedance
 from .network import Boundary, Element, grid_network, parse_netlist, ring_network, serialize_netlist
 from .resonance import sweep_resonances
-from .takagi import DEFAULT_DEGENERACY_REL_TOL, DEFAULT_ZERO_REL_TOL
+from .takagi import DEFAULT_ZERO_REL_TOL
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -66,14 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument("--omega", type=float, help="angular frequency in rad/s")
         group.add_argument("--freq", type=float, help="frequency in Hz (omega = 2 pi f)")
 
-    def add_tolerances(p):
+    def add_zero_rel_tol(p):
         p.add_argument(
             "--zero-rel-tol", type=float, default=DEFAULT_ZERO_REL_TOL,
             help="zero-mode threshold relative to max sigma",
-        )
-        p.add_argument(
-            "--degeneracy-rel-tol", type=float, default=DEFAULT_DEGENERACY_REL_TOL,
-            help="sigma cluster gap tolerance",
         )
 
     p_imp = sub.add_parser("impedance", help="two-point impedance at one frequency")
@@ -81,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_imp.add_argument("--pair", nargs=2, type=int, required=True, metavar=("P", "Q"))
     add_omega(p_imp)
     p_imp.add_argument("--format", choices=("human", "json", "csv"), default="human")
-    add_tolerances(p_imp)
+    add_zero_rel_tol(p_imp)
 
     p_sweep = sub.add_parser("sweep", help="impedance versus frequency as CSV")
     p_sweep.add_argument("netlist")
@@ -89,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--omega-lo", type=float, required=True)
     p_sweep.add_argument("--omega-hi", type=float, required=True)
     p_sweep.add_argument("--points", type=int, required=True)
-    add_tolerances(p_sweep)
+    add_zero_rel_tol(p_sweep)
 
     p_res = sub.add_parser("resonances", help="sweep-detect resonance frequencies")
     p_res.add_argument("netlist")
@@ -118,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("netlist")
     p_check.add_argument("--pair", nargs=2, type=int, metavar=("P", "Q"))
     add_omega(p_check)
-    add_tolerances(p_check)
+    add_zero_rel_tol(p_check)
 
     return parser
 
@@ -191,9 +187,7 @@ def _cmd_impedance(args) -> int:
     net = _load_network(args.netlist)
     p, q = args.pair
     r = two_point_impedance(
-        net, _omega_of(args), p, q,
-        zero_rel_tol=args.zero_rel_tol,
-        degeneracy_rel_tol=args.degeneracy_rel_tol,
+        net, _omega_of(args), p, q, zero_rel_tol=args.zero_rel_tol
     )
     if args.format == "json":
         print(json.dumps(_impedance_json(r)))
@@ -232,11 +226,7 @@ def _cmd_sweep(args) -> int:
         return EXIT_INPUT_ERROR
     print("omega,z_re,z_im,min_sigma,status")
     for w in np.geomspace(args.omega_lo, args.omega_hi, args.points):
-        r = two_point_impedance(
-            net, float(w), p, q,
-            zero_rel_tol=args.zero_rel_tol,
-            degeneracy_rel_tol=args.degeneracy_rel_tol,
-        )
+        r = two_point_impedance(net, float(w), p, q, zero_rel_tol=args.zero_rel_tol)
         print(_csv_row(r))
     return EXIT_OK
 
@@ -344,18 +334,12 @@ def _cmd_check(args) -> int:
         pairs = [tuple(args.pair)]
         spectral = {
             pairs[0]: two_point_impedance(
-                net, omega, *pairs[0],
-                zero_rel_tol=args.zero_rel_tol,
-                degeneracy_rel_tol=args.degeneracy_rel_tol,
+                net, omega, *pairs[0], zero_rel_tol=args.zero_rel_tol
             )
         }
     else:
         n = net.node_count
-        table = impedance_matrix(
-            net, omega,
-            zero_rel_tol=args.zero_rel_tol,
-            degeneracy_rel_tol=args.degeneracy_rel_tol,
-        )
+        table = impedance_matrix(net, omega, zero_rel_tol=args.zero_rel_tol)
         pairs = [(p, q) for p in range(1, n + 1) for q in range(p + 1, n + 1)]
         spectral = {(p, q): table[p - 1][q - 1] for p, q in pairs}
 

@@ -21,7 +21,7 @@ import scipy.linalg
 
 from .errors import InvalidNodeError
 from .laplacian import admittance_scale, assemble_laplacian, check_angular_frequency
-from .network import Network
+from .network import Network, check_pair
 
 # Pivot threshold relative to the admittance scale.
 _PIVOT_REL_TOL = 1e-13
@@ -78,7 +78,7 @@ def solve_node_potentials(
     1e-13 of the network admittance scale.
     """
     w = check_angular_frequency(omega)
-    _check_pair(net, p, q)
+    check_pair(net, p, q)
     sys = grounded_system(net, w, ground=q)
     rhs = np.zeros(net.node_count - 1, dtype=complex)
     rhs[sys.kept.index(p)] = 1.0
@@ -118,7 +118,7 @@ def check_current_conservation(
     {p, q}, |I_p - 1|, and |I_q + 1|.
     """
     w = check_angular_frequency(omega)
-    _check_pair(net, p, q)
+    check_pair(net, p, q)
     lap = assemble_laplacian(net, w)
     currents = lap @ np.asarray(potentials, dtype=complex)
     worst = max(abs(currents[p - 1] - 1.0), abs(currents[q - 1] + 1.0))
@@ -126,12 +126,3 @@ def check_current_conservation(
         if a not in (p - 1, q - 1):
             worst = max(worst, abs(currents[a]))
     return float(worst)
-
-
-def _check_pair(net: Network, p: int, q: int) -> None:
-    n = net.node_count
-    for label in (p, q):
-        if not isinstance(label, int) or label < 1 or label > n:
-            raise InvalidNodeError(f"node label {label!r} outside 1..{n}")
-    if p == q:
-        raise InvalidNodeError(f"node pair must be distinct, got ({p}, {q})")

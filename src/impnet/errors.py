@@ -45,10 +45,6 @@ class NotSymmetricError(ImpnetError):
     """Input matrix is not complex symmetric to working tolerance."""
 
 
-class DegenerateConstructionError(ImpnetError):
-    """Degenerate-cluster vector construction failed after phase retries."""
-
-
 class NoTrivialZeroError(ImpnetError):
     """No zero mode aligns with the constant vector; input is not a
     connected-network Laplacian."""

@@ -17,25 +17,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidNodeError
 from .laplacian import admittance_scale, assemble_laplacian, check_angular_frequency
-from .network import Network
+from .network import Network, check_pair
 from .takagi import (
-    DEFAULT_DEGENERACY_REL_TOL,
     DEFAULT_ZERO_REL_TOL,
     TakagiDecomposition,
-    ZeroModeClassification,
     classify_zero_modes,
     takagi_decompose,
 )
 
-# An assembled Laplacian whose largest sigma is below the square of this
-# fraction of the uncancelled admittance scale is numerically null: every
-# entry has cancelled to rounding noise (an all-reactive network exactly at
-# resonance).  All of its modes are treated as zero modes.
+# An assembled Laplacian whose largest |lambda| is below this fraction of the
+# uncancelled admittance scale is numerically null: every entry has cancelled
+# to rounding noise (an all-reactive network exactly at resonance).  All of
+# its modes are treated as zero modes.
 _NULL_LAPLACIAN_REL_TOL = 1e-13
 
 
@@ -54,7 +52,7 @@ class ImpedanceResult:
     |(u_ap - u_aq)^2| over the nontrivial zero modes.  min_nontrivial_sigma
     is the resonance-detection statistic (smallest sigma outside the trivial
     mode); near_resonance flags a finite result within 10x of the zero
-    threshold, where conditioning is already poor.
+    threshold on the sigma scale, where conditioning is already poor.
     """
 
     status: ImpedanceStatus
@@ -72,7 +70,6 @@ def two_point_impedance(
     p: int,
     q: int,
     zero_rel_tol: float = DEFAULT_ZERO_REL_TOL,
-    degeneracy_rel_tol: float = DEFAULT_DEGENERACY_REL_TOL,
 ) -> ImpedanceResult:
     """Effective impedance between nodes p and q (1-based) at omega.
 
@@ -85,24 +82,20 @@ def two_point_impedance(
         Distinct 1-based node labels.
     zero_rel_tol : float
         Modes with sigma <= zero_rel_tol * max(sigma) count as zero modes.
-    degeneracy_rel_tol : float
-        Cluster gap tolerance passed to the factorization.
 
     Returns
     -------
     ImpedanceResult
     """
     w = check_angular_frequency(omega)
-    _check_pair(net, p, q)
-    dec, cls, null_lap = _decompose(net, w, zero_rel_tol, degeneracy_rel_tol)
-    return _pair_result(dec, cls, null_lap, w, p, q, zero_rel_tol)
+    check_pair(net, p, q)
+    return _pair_result(_decompose(net, w, zero_rel_tol), w, p, q)
 
 
 def impedance_matrix(
     net: Network,
     omega: float,
     zero_rel_tol: float = DEFAULT_ZERO_REL_TOL,
-    degeneracy_rel_tol: float = DEFAULT_DEGENERACY_REL_TOL,
 ) -> list[list[ImpedanceResult]]:
     """All-pairs impedance table from a single factorization.
 
@@ -111,9 +104,8 @@ def impedance_matrix(
     """
     w = check_angular_frequency(omega)
     n = net.node_count
-    dec, cls, null_lap = _decompose(net, w, zero_rel_tol, degeneracy_rel_tol)
+    spec = _decompose(net, w, zero_rel_tol)
     table: list[list[ImpedanceResult | None]] = [[None] * n for _ in range(n)]
-    min_sigma = _min_nontrivial_sigma(dec, cls)
     for p in range(1, n + 1):
         table[p - 1][p - 1] = ImpedanceResult(
             status=ImpedanceStatus.FINITE,
@@ -121,92 +113,64 @@ def impedance_matrix(
             omega=w,
             resonant_mode_count=0,
             divergent_coefficient=None,
-            min_nontrivial_sigma=min_sigma,
+            min_nontrivial_sigma=spec.min_sigma,
             near_resonance=False,
         )
         for q in range(p + 1, n + 1):
-            r = _pair_result(dec, cls, null_lap, w, p, q, zero_rel_tol)
+            r = _pair_result(spec, w, p, q)
             table[p - 1][q - 1] = r
             table[q - 1][p - 1] = r
     return table  # type: ignore[return-value]
 
 
-def _check_pair(net: Network, p: int, q: int) -> None:
-    n = net.node_count
-    for label in (p, q):
-        if not isinstance(label, int) or label < 1 or label > n:
-            raise InvalidNodeError(f"node label {label!r} outside 1..{n}")
-    if p == q:
-        raise InvalidNodeError(f"node pair must be distinct, got ({p}, {q})")
+class _Spectrum(NamedTuple):
+    """Pair-independent part of an impedance query."""
+
+    dec: TakagiDecomposition
+    retained: np.ndarray  # mask of the modes summed (nonzero lambda)
+    resonant: np.ndarray  # indices of the nontrivial zero modes
+    min_sigma: float  # smallest sigma outside the trivial mode
+    near_resonance: bool
 
 
-def _decompose(
-    net: Network,
-    omega: float,
-    zero_rel_tol: float,
-    degeneracy_rel_tol: float,
-) -> tuple[TakagiDecomposition, ZeroModeClassification | None, bool]:
-    lap = assemble_laplacian(net, omega)
-    dec = takagi_decompose(lap, degeneracy_rel_tol)
-    scale = admittance_scale(net, omega)
-    if float(dec.sigma[-1]) <= (_NULL_LAPLACIAN_REL_TOL * scale) ** 2:
-        # globally cancelled Laplacian: sigma carries no information
-        return dec, None, True
-    return dec, classify_zero_modes(dec, zero_rel_tol), False
+def _decompose(net: Network, omega: float, zero_rel_tol: float) -> _Spectrum:
+    dec = takagi_decompose(assemble_laplacian(net, omega))
+    mags = np.abs(dec.lam)
+    if float(mags.max()) <= _NULL_LAPLACIAN_REL_TOL * admittance_scale(net, omega):
+        # globally cancelled Laplacian: every mode is a zero mode, and the
+        # trivial one is whichever column aligns best with the constant vector
+        trivial = int(np.argmax(np.abs(dec.u.sum(axis=0))))
+        resonant = np.delete(np.arange(dec.order), trivial)
+        return _Spectrum(dec, np.zeros(dec.order, dtype=bool), resonant, 0.0, False)
+    cls = classify_zero_modes(dec, zero_rel_tol)
+    retained = np.ones(dec.order, dtype=bool)
+    retained[list(cls.zero_indices)] = False
+    resonant = np.array(
+        [a for a in cls.zero_indices if a != cls.trivial_index], dtype=int
+    )
+    others = np.delete(mags, cls.trivial_index)
+    min_abs = float(others.min()) if others.size else 0.0
+    return _Spectrum(
+        dec,
+        retained,
+        resonant,
+        min_abs * min_abs,  # saturates at inf, unlike min_abs**2
+        min_abs <= math.sqrt(10.0) * cls.threshold,
+    )
 
 
-def _min_nontrivial_sigma(
-    dec: TakagiDecomposition, cls: ZeroModeClassification | None
-) -> float:
-    if cls is None:
-        return 0.0
-    others = [dec.sigma[a] for a in range(dec.order) if a != cls.trivial_index]
-    return float(min(others)) if others else 0.0
-
-
-def _pair_result(
-    dec: TakagiDecomposition,
-    cls: ZeroModeClassification | None,
-    null_lap: bool,
-    omega: float,
-    p: int,
-    q: int,
-    zero_rel_tol: float,
-) -> ImpedanceResult:
-    n = dec.order
-    diffs = dec.u[p - 1, :] - dec.u[q - 1, :]
-    if null_lap:
-        # every mode is a zero mode; the trivial one is whichever column
-        # aligns best with the constant vector
-        const = np.full(n, 1.0 / math.sqrt(n))
-        trivial = int(np.argmax(np.abs(const @ dec.u.conj())))
-        coeffs = [abs(diffs[a] ** 2) for a in range(n) if a != trivial]
-        return ImpedanceResult(
-            status=ImpedanceStatus.RESONANT,
-            value=0j,
-            omega=omega,
-            resonant_mode_count=n - 1,
-            divergent_coefficient=max(coeffs) if coeffs else 0.0,
-            min_nontrivial_sigma=0.0,
-            near_resonance=False,
-        )
-    threshold = zero_rel_tol * float(dec.sigma[-1])
-    retained = dec.sigma > threshold
-    value = complex(np.sum(diffs[retained] ** 2 / dec.lam[retained]))
-    min_sigma = _min_nontrivial_sigma(dec, cls)
-    if cls.nontrivial_zero_count >= 1:
-        coeffs = [
-            abs(diffs[a] ** 2)
-            for a in cls.zero_indices
-            if a != cls.trivial_index
-        ]
+def _pair_result(spec: _Spectrum, omega: float, p: int, q: int) -> ImpedanceResult:
+    dec = spec.dec
+    diffs2 = (dec.u[p - 1, :] - dec.u[q - 1, :]) ** 2
+    value = complex(np.sum(diffs2[spec.retained] / dec.lam[spec.retained]))
+    if spec.resonant.size:
         return ImpedanceResult(
             status=ImpedanceStatus.RESONANT,
             value=value,
             omega=omega,
-            resonant_mode_count=cls.nontrivial_zero_count,
-            divergent_coefficient=max(coeffs),
-            min_nontrivial_sigma=min_sigma,
+            resonant_mode_count=int(spec.resonant.size),
+            divergent_coefficient=float(np.abs(diffs2[spec.resonant]).max()),
+            min_nontrivial_sigma=spec.min_sigma,
             near_resonance=False,
         )
     return ImpedanceResult(
@@ -215,6 +179,6 @@ def _pair_result(
         omega=omega,
         resonant_mode_count=0,
         divergent_coefficient=None,
-        min_nontrivial_sigma=min_sigma,
-        near_resonance=bool(min_sigma <= 10.0 * threshold),
+        min_nontrivial_sigma=spec.min_sigma,
+        near_resonance=spec.near_resonance,
     )

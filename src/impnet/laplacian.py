@@ -10,6 +10,7 @@ but not Hermitian once any branch is reactive.
 
 from __future__ import annotations
 
+import cmath
 import math
 from functools import lru_cache
 
@@ -30,19 +31,30 @@ def check_angular_frequency(omega: float) -> float:
 
 
 def branch_admittance(element: Element, omega: float) -> complex:
-    """Complex admittance of a single element at angular frequency omega."""
+    """Complex admittance of a single element at angular frequency omega.
+
+    Raises ValidationError naming the element when the admittance is not
+    finite (for example a subnormal resistance or a huge capacitance).
+    """
     w = check_angular_frequency(omega)
     kind = element.kind
     if kind is ElementKind.RESISTOR:
-        return complex(1.0 / element.value)
-    if kind is ElementKind.INDUCTOR:
-        return -1j / (w * element.value)
-    if kind is ElementKind.CAPACITOR:
-        return 1j * w * element.value
-    z = element.value
-    if z == 0:
+        y = complex(1.0 / element.value)
+    elif kind is ElementKind.INDUCTOR:
+        wl = w * element.value  # 0 when the product underflows
+        y = -1j / wl if wl else complex(0.0, -math.inf)
+    elif kind is ElementKind.CAPACITOR:
+        y = 1j * w * element.value
+    elif element.value == 0:
         raise DegenerateElementError("fixed impedance of 0 has no admittance")
-    return 1.0 / z
+    else:
+        y = 1.0 / element.value
+    if not cmath.isfinite(y):
+        raise ValidationError(
+            f"admittance of {kind.name.lower()} {element.value!r} at omega "
+            f"{w!r} is not finite"
+        )
+    return y
 
 
 def assemble_laplacian(net: Network, omega: float) -> np.ndarray:

@@ -24,7 +24,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DisconnectedError, NetlistSyntaxError, ValidationError
+from .errors import (
+    DisconnectedError,
+    InvalidNodeError,
+    NetlistSyntaxError,
+    ValidationError,
+)
 
 
 class ElementKind(Enum):
@@ -137,6 +142,16 @@ class Network:
         comps = _components(n, self.branches)
         if len(comps) > 1:
             raise DisconnectedError(comps)
+
+
+def check_pair(net: Network, p: int, q: int) -> None:
+    """Raise InvalidNodeError unless p and q are distinct labels of net."""
+    n = net.node_count
+    for label in (p, q):
+        if not isinstance(label, int) or label < 1 or label > n:
+            raise InvalidNodeError(f"node label {label!r} outside 1..{n}")
+    if p == q:
+        raise InvalidNodeError(f"node pair must be distinct, got ({p}, {q})")
 
 
 def _components(n: int, branches) -> list[list[int]]:

@@ -3,27 +3,20 @@
 For any complex symmetric L there is an orthonormal basis u_a and complex
 values lambda_a with
 
-    L u_a = lambda_a conj(u_a),        |lambda_a|^2 = sigma_a,
+    L u_a = lambda_a conj(u_a),        sigma_a = |lambda_a|^2.
 
-where sigma_a are the eigenvalues of the Hermitian product L^dagger L.  Each
-pair is gauge free: {u e^{i tau}, lambda e^{2 i tau}} is an equally valid
+Each pair is gauge free: {u e^{i tau}, lambda e^{2 i tau}} is an equally valid
 solution, so only gauge-invariant combinations of u and lambda are physical.
-The decomposition here canonicalizes the gauge by rotating the largest
-component of every u_a onto the positive real axis.
 
-Nondegenerate sigma eigenvectors satisfy the defining relation on their own
-and only the phase of lambda_a has to be read off.  Degenerate sigma clusters
-need an explicit construction: L maps the sigma eigenspace into its complex
-conjugate (L L^dagger equals conj(L^dagger L) for symmetric L), so the
-restriction B of L to a cluster basis Psi is again complex symmetric and can
-be factorized by building candidate vectors
-
-    v_j = conj(B e_j) + s e^{i theta} e_j,      s = sqrt(sigma),
-
-with one common phase theta.  The Gram matrix of these candidates is real, so
-a Gram-Schmidt pass with (forced) real coefficients preserves the defining
-relation while orthonormalizing.  A phase for which some candidate collapses
-is retried at offsets of pi/4.
+With L = A + iB, u = x + iy and lambda real, the defining relation is the
+real symmetric eigenproblem [[A, -B], [-B, -A]] [x; y] = lambda [x; y].  Its
+spectrum is +-|lambda_a|, each pair linked by [x; y] -> [-y; x] (u -> i u).
+A positive eigenvector is real-orthogonal to every negative one, which makes
+the n positive eigenvectors complex-orthonormal factorization vectors, so one
+real eigensolve yields every mode with nonzero lambda, degenerate or not.
+Only the numerically zero eigenspace holds both members of a pair; its
+complex vectors are orthonormalized separately.  The gauge is canonicalized
+by rotating the largest component of every u_a onto the positive real axis.
 """
 
 from __future__ import annotations
@@ -32,10 +25,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     ConvergenceError,
-    DegenerateConstructionError,
     NoTrivialZeroError,
     NotSymmetricError,
     ValidationError,
@@ -46,33 +39,9 @@ _EPS = float(np.finfo(float).eps)
 # Relative symmetry tolerance for accepting an input as complex symmetric.
 _SYMMETRY_REL_TOL = 1e-13
 
-# Default cluster gap: consecutive sigma values whose gap is below this
-# fraction of the larger value are treated as one degenerate cluster.  The
-# gap test is floored at the eigensolver noise scale so exactly degenerate
-# values still merge when they are small relative to the largest sigma.
-DEFAULT_DEGENERACY_REL_TOL = 1e-8
-
-# Default classification threshold for zero modes, relative to max sigma.
+# Default classification threshold for zero modes: sigma relative to max
+# sigma, applied as |lambda| <= sqrt(DEFAULT_ZERO_REL_TOL) * max |lambda|.
 DEFAULT_ZERO_REL_TOL = 1e-10
-
-
-def hermitian_eigendecomposition(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of Hermitian h.
-
-    Delegates to the LAPACK-backed dense solver; a failure to converge is
-    reported as ConvergenceError.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {h.shape}")
-    scale = float(np.linalg.norm(h))
-    if scale > 0 and float(np.abs(h - h.conj().T).max()) > 1e-13 * scale:
-        raise ValidationError("matrix is not Hermitian to working tolerance")
-    try:
-        w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"Hermitian eigensolver failed: {exc}") from exc
-    return w, v
 
 
 @dataclass(frozen=True)
@@ -86,9 +55,9 @@ class TakagiDecomposition:
     u : numpy.ndarray
         (n, n) unitary matrix; column a is the vector u_a.
     lam : numpy.ndarray
-        (n,) complex factorization values, |lam|^2 == sigma.
+        (n,) complex factorization values, ascending in |lam|.
     sigma : numpy.ndarray
-        (n,) nonnegative reals, ascending.
+        (n,) nonnegative reals |lam|^2, ascending.
     residual : float
         max_a of the 2-norm of L u_a - lam_a conj(u_a).
     """
@@ -103,130 +72,89 @@ class TakagiDecomposition:
 @dataclass(frozen=True)
 class ZeroModeClassification:
     """Zero modes of a Laplacian decomposition, split into the one trivial
-    (constant-vector) mode and the nontrivial remainder."""
+    (constant-vector) mode and the nontrivial remainder.  threshold is the
+    |lambda| at or below which a mode counts as zero."""
 
     zero_indices: tuple[int, ...]
     trivial_index: int
     nontrivial_zero_count: int
+    threshold: float
 
 
-def takagi_decompose(
-    l: np.ndarray,
-    degeneracy_rel_tol: float = DEFAULT_DEGENERACY_REL_TOL,
-) -> TakagiDecomposition:
+def takagi_decompose(l: np.ndarray) -> TakagiDecomposition:
     """Factorize a complex symmetric matrix as L u_a = lambda_a conj(u_a).
 
     Parameters
     ----------
     l : array_like
-        Square complex symmetric matrix.  Asymmetry above 1e-13 relative to
-        the Frobenius norm raises NotSymmetricError.
-    degeneracy_rel_tol : float
-        Gap threshold, relative to the larger of two consecutive sigma
-        values, below which they are handled as one degenerate cluster.
-        Floored at the eigensolver noise scale.
+        Square complex symmetric matrix with finite entries.  Asymmetry
+        above 1e-13 of the largest entry magnitude raises NotSymmetricError.
 
     Returns
     -------
     TakagiDecomposition
-        Vectors, values, sigma spectrum (ascending), and the worst-case
-        defining-relation residual.
+        Vectors, values and sigma spectrum (ascending in |lambda|), and the
+        worst-case defining-relation residual.
     """
     l = np.asarray(l, dtype=complex)
     if l.ndim != 2 or l.shape[0] != l.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {l.shape}")
+    if not np.isfinite(l).all():
+        raise ValidationError("matrix has non-finite entries")
     n = l.shape[0]
-    norm_f = float(np.linalg.norm(l))
-    if norm_f > 0 and float(np.abs(l - l.T).max()) > _SYMMETRY_REL_TOL * norm_f:
+    scale = float(np.abs(l).max())
+    if float(np.abs(l - l.T).max()) > _SYMMETRY_REL_TOL * scale:
         raise NotSymmetricError(
             "matrix is not complex symmetric to working tolerance"
         )
     l = 0.5 * (l + l.T)
 
-    h = l.conj().T @ l
-    sigma, psi = hermitian_eigendecomposition(h)
-    sigma = np.maximum(sigma, 0.0)
-    # Gap rule: merge consecutive sigma when the gap is small relative to
-    # the larger value, floored at the eigensolver noise scale (eigenvalues
-    # of H carry absolute error of order eps times the largest sigma, so
-    # exactly degenerate small values still land within the floor).
-    gap_floor = 64.0 * n * _EPS * float(sigma[-1])
-    # L psi of a true zero mode is rounding noise; anything this small in
-    # norm gets lambda pinned to exactly zero.  Direct evidence on the
-    # lambda scale: sigma itself is noise-inflated quadratically.
-    zero_floor = 16.0 * n * _EPS * norm_f
+    h = np.empty((2 * n, 2 * n))
+    h[:n, :n] = l.real
+    h[:n, n:] = -l.imag
+    h[n:, :n] = -l.imag
+    h[n:, n:] = -l.real
+    try:
+        w, v = scipy.linalg.eigh(
+            h, overwrite_a=True, check_finite=False, driver="evd"
+        )
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
 
-    u = np.array(psi, dtype=complex)
+    # w is ascending and symmetric about zero: the top n values are the
+    # |lambda_a|.  Those at the eigensolver noise floor are zero modes; the
+    # 2k middle columns span both members of each of the k zero pairs.
+    zero_floor = 16.0 * n * _EPS * float(np.abs(w).max())
+    k = int(np.count_nonzero(w[n:] <= zero_floor))
+    modes = v[:n, n - k:] + 1j * v[n:, n - k:]
+    zero, live = modes[:, :2 * k], modes[:, 2 * k:]
+    if k:
+        zero -= live @ (live.conj().T @ zero)
+        q = np.linalg.svd(zero, full_matrices=False)[0][:, :k]
+        zero = _orient_zero_cluster(q)
+    u = np.concatenate([zero, live], axis=1)
     lam = np.zeros(n, dtype=complex)
-
-    start = 0
-    boundaries = []
-    for i in range(1, n):
-        if sigma[i] - sigma[i - 1] > max(degeneracy_rel_tol * sigma[i], gap_floor):
-            boundaries.append((start, i))
-            start = i
-    boundaries.append((start, n))
-
-    for lo, hi in boundaries:
-        block = psi[:, lo:hi]
-        w = l @ block
-        is_zero = np.linalg.norm(w, axis=0) <= zero_floor
-        # A noise-level sigma gap can lump true zero modes together with a
-        # distinct near-zero mode; constructing across that split would
-        # smear a finite value onto the zero modes, so partition first.
-        zero_cols = np.flatnonzero(is_zero)
-        live_cols = np.flatnonzero(~is_zero)
-        if zero_cols.size:
-            u[:, lo:lo + zero_cols.size] = _orient_zero_cluster(block[:, zero_cols])
-        if live_cols.size:
-            dst = slice(lo + zero_cols.size, hi)
-            sub = block[:, live_cols]
-            wsub = w[:, live_cols]
-            if live_cols.size == 1:
-                u[:, dst] = sub
-                lam[lo + zero_cols.size] = _single_value(
-                    sub[:, 0], wsub[:, 0], float(sigma[lo + live_cols[0]])
-                )
-            else:
-                s = math.sqrt(float(sigma[lo + live_cols].mean()))
-                b = sub.T @ wsub
-                b = 0.5 * (b + b.T)
-                cols, value = _cluster_vectors(b, s)
-                u[:, dst] = sub @ cols
-                lam[dst] = value
+    lam[k:] = w[n + k:]
 
     # gauge canonicalization: largest component of each u_a real positive
-    for a in range(n):
-        col = u[:, a]
-        piv = col[int(np.argmax(np.abs(col)))]
-        mag = abs(piv)
-        if mag > 0:
-            fac = piv.conjugate() / mag
-            u[:, a] = col * fac
-            lam[a] = lam[a] * fac * fac
+    piv = u[np.argmax(np.abs(u), axis=0), np.arange(n)]
+    fac = piv.conj() / np.abs(piv)
+    u *= fac
+    lam *= fac * fac
 
-    sig_out = np.abs(lam) ** 2
-    order = np.argsort(sig_out, kind="stable")
+    order = np.argsort(np.abs(lam), kind="stable")
     u = u[:, order]
     lam = lam[order]
-    sig_out = sig_out[order]
 
+    # hypot keeps the column norms finite where squares would overflow;
+    # sigma itself saturates at inf beyond |lambda| ~ 1e154
     defect = l @ u - u.conj() * lam[np.newaxis, :]
-    residual = float(np.linalg.norm(defect, axis=0).max())
+    residual = float(np.hypot.reduce(np.abs(defect), axis=0).max())
+    with np.errstate(over="ignore"):
+        sigma = np.abs(lam) ** 2
     return TakagiDecomposition(
-        order=n, u=u, lam=lam, sigma=sig_out, residual=residual
+        order=n, u=u, lam=lam, sigma=sigma, residual=residual
     )
-
-
-def _single_value(psi: np.ndarray, w: np.ndarray, sigma: float) -> complex:
-    """lambda for a nondegenerate eigenvector: magnitude sqrt(sigma), phase
-    read off the defining relation w = L psi = lambda conj(psi) at the
-    largest component of psi."""
-    k = int(np.argmax(np.abs(psi)))
-    ratio = w[k] / np.conj(psi[k])
-    mag = abs(ratio)
-    phase = ratio / mag if mag > 0 else 1.0
-    return math.sqrt(sigma) * phase
 
 
 def _orient_zero_cluster(block: np.ndarray) -> np.ndarray:
@@ -252,84 +180,28 @@ def _orient_zero_cluster(block: np.ndarray) -> np.ndarray:
     return block @ q
 
 
-def _cluster_vectors(b: np.ndarray, s: float) -> tuple[np.ndarray, complex]:
-    """Orthonormal factorization basis of a degenerate k-by-k block.
-
-    All singular values of b equal s (to cluster tolerance), so b/s is
-    unitary as well as symmetric.  Candidates conj(B e_j) + s e^{i theta} e_j
-    share one phase theta, which keeps their Gram matrix real and makes
-    real-coefficient Gram-Schmidt preserve the defining relation.  theta
-    starts against the largest off-diagonal phase (for k == 2 the candidates
-    are then exactly orthogonal) and is retried at pi/4 offsets whenever a
-    candidate or a Gram-Schmidt pivot collapses.
-    """
-    k = b.shape[0]
-    off = np.abs(np.triu(b, 1))
-    i0, j0 = np.unravel_index(int(np.argmax(off)), off.shape)
-    if off[i0, j0] > 16.0 * _EPS * s:
-        theta0 = 0.5 * math.pi - math.atan2(b[i0, j0].imag, b[i0, j0].real)
-    else:
-        theta0 = 0.5 * math.pi
-    eye = np.eye(k, dtype=complex)
-    bc = b.conj()
-    for attempt in range(5):
-        phase = complex(np.exp(1j * (theta0 + attempt * 0.25 * math.pi)))
-        v = bc + (s * phase) * eye
-        cols = _real_gram_schmidt(v, s)
-        if cols is not None:
-            return cols, s * phase
-    raise DegenerateConstructionError(
-        f"cluster vector construction failed for a {k}-fold degenerate block "
-        "after 4 phase retries"
-    )
-
-
-def _real_gram_schmidt(v: np.ndarray, s: float) -> np.ndarray | None:
-    """Modified Gram-Schmidt with coefficients forced real.
-
-    The candidates' Gram matrix is real in exact arithmetic; discarding the
-    rounding-level imaginary parts of the projections keeps every output an
-    exactly real combination of the inputs, which is what preserves the
-    defining relation.  Returns None when a pivot falls below threshold and
-    the caller should retry with a shifted phase.
-    """
-    k = v.shape[1]
-    out = np.zeros_like(v)
-    for j in range(k):
-        w = v[:, j].copy()
-        if float(np.linalg.norm(w)) <= 1e-10 * s:
-            return None
-        for _ in range(2):  # one re-orthogonalization pass
-            for i in range(j):
-                w -= float(np.real(np.vdot(out[:, i], w))) * out[:, i]
-        nw = float(np.linalg.norm(w))
-        if nw <= 1e-3 * s:
-            # linearly dependent (or badly conditioned) candidate set
-            return None
-        out[:, j] = w / nw
-    return out
-
-
 def classify_zero_modes(
     d: TakagiDecomposition,
     zero_rel_tol: float = DEFAULT_ZERO_REL_TOL,
 ) -> ZeroModeClassification:
     """Split the zero modes of a Laplacian decomposition.
 
-    Zero modes are entries with sigma <= zero_rel_tol * max(sigma).  Exactly
-    one of them must align with the constant vector (the trivial mode every
-    connected network has); any further zero modes are resonance indicators.
-    Raises NoTrivialZeroError when no zero mode overlaps the constant vector
-    by at least 0.99, which signals input that is not a connected-network
-    Laplacian.
+    Zero modes are entries with |lambda| <= sqrt(zero_rel_tol) * max|lambda|,
+    the same threshold as sigma <= zero_rel_tol * max(sigma) without the
+    squaring that underflows or overflows at extreme admittance scales.
+    Exactly one of them must align with the constant vector (the trivial
+    mode every connected network has); any further zero modes are resonance
+    indicators.  Raises NoTrivialZeroError when no zero mode overlaps the
+    constant vector by at least 0.99, which signals input that is not a
+    connected-network Laplacian.
     """
     n = d.order
-    threshold = zero_rel_tol * float(d.sigma[-1])
-    zero_indices = tuple(int(a) for a in range(n) if d.sigma[a] <= threshold)
-    if not zero_indices:
+    mags = np.abs(d.lam)
+    threshold = math.sqrt(zero_rel_tol) * float(mags.max())
+    zero = np.flatnonzero(mags <= threshold)
+    if not zero.size:
         raise NoTrivialZeroError("no zero mode present")
-    const = np.full(n, 1.0 / math.sqrt(n))
-    overlaps = [abs(np.vdot(const, d.u[:, a])) for a in zero_indices]
+    overlaps = np.abs(d.u[:, zero].sum(axis=0)) / math.sqrt(n)
     best = int(np.argmax(overlaps))
     if overlaps[best] < 0.99:
         raise NoTrivialZeroError(
@@ -337,7 +209,8 @@ def classify_zero_modes(
             f"(best overlap {overlaps[best]:.3g})"
         )
     return ZeroModeClassification(
-        zero_indices=zero_indices,
-        trivial_index=zero_indices[best],
-        nontrivial_zero_count=len(zero_indices) - 1,
+        zero_indices=tuple(int(a) for a in zero),
+        trivial_index=int(zero[best]),
+        nontrivial_zero_count=int(zero.size) - 1,
+        threshold=threshold,
     )

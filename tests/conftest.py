@@ -47,26 +47,32 @@ def random_connected_network(
     node_lo: int,
     node_hi: int,
     kinds: str = "RLCZ",
+    decades: float = 1.0,
 ) -> Network:
-    """Random connected network: a random spanning tree plus extra branches."""
+    """Random connected network: a random spanning tree plus extra branches.
+
+    Element values are log-uniform in 10^(+-decades).
+    """
     n = int(rng.integers(node_lo, node_hi + 1))
     branches = []
     for b in range(2, n + 1):
         a = int(rng.integers(1, b))
-        branches.append(Branch(a, b, _random_element(rng, kinds)))
+        branches.append(Branch(a, b, _random_element(rng, kinds, decades)))
     extras = int(rng.integers(0, n))
     for _ in range(extras):
         a = int(rng.integers(1, n + 1))
         b = int(rng.integers(1, n + 1))
         if a == b:
             continue
-        branches.append(Branch(a, b, _random_element(rng, kinds)))
+        branches.append(Branch(a, b, _random_element(rng, kinds, decades)))
     return Network(n, tuple(branches))
 
 
-def _random_element(rng: np.random.Generator, kinds: str) -> Element:
+def _random_element(
+    rng: np.random.Generator, kinds: str, decades: float
+) -> Element:
     kind = kinds[int(rng.integers(0, len(kinds)))]
-    value = float(10.0 ** rng.uniform(-1.0, 1.0))
+    value = float(10.0 ** rng.uniform(-decades, decades))
     if kind == "R":
         return Element.resistor(value)
     if kind == "L":

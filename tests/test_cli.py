@@ -124,6 +124,35 @@ def test_bad_netlist(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("netlist, omega", [
+    ("NET 2\nR 1 2 1e-320\n", "10"),
+    ("NET 3\nC 1 2 1e308\nR 2 3 1.0\n", "10"),
+    ("NET 2\nL 1 2 5e-324\n", "0.1"),  # omega * L underflows to 0
+], ids=["tiny-resistor", "huge-capacitor", "tiny-inductor"])
+@pytest.mark.parametrize("command", [
+    ["impedance", "--pair", "1", "2"], ["check"],
+], ids=["impedance", "check"])
+def test_non_finite_admittance_is_input_error(
+    tmp_path, capsys, netlist, omega, command
+):
+    p = tmp_path / "overflow.net"
+    p.write_text(netlist)
+    argv = [command[0], str(p), *command[1:], "--omega", omega]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "admittance of" in err and "is not finite" in err
+
+
+def test_huge_resistances_stay_finite(capsys, tmp_path):
+    # admittances of 1e-300: sigma underflows, |lambda| does not
+    p = tmp_path / "huge.net"
+    p.write_text("NET 2\nR 1 2 1e300\nR 1 2 1e300\n")
+    argv = ["impedance", str(p), "--pair", "1", "2", "--omega", "1", "--format", "json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["z_re"] == pytest.approx(5e299, rel=1e-12)
+    assert main(["check", str(p), "--omega", "1"]) == 0
+
+
 def test_invalid_pair_value(triangle_path, capsys):
     assert main(["impedance", triangle_path, "--pair", "1", "9", "--omega", "1"]) == 1
 

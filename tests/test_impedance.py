@@ -8,6 +8,7 @@ import pytest
 from impnet import (
     Branch,
     Element,
+    ElementKind,
     ImpedanceStatus,
     InvalidNodeError,
     Network,
@@ -130,6 +131,34 @@ def test_gauge_invariance_of_mode_sum():
         want = two_point_impedance(net, omega, p + 1, q + 1)
         if want.status is ImpedanceStatus.FINITE:
             assert abs(z2 - want.value) <= 1e-10 * max(abs(want.value), 1.0)
+
+
+def _scaled(net, k):
+    """The network with every impedance multiplied by k."""
+    branches = []
+    for br in net.branches:
+        e = br.element
+        v = e.value / k if e.kind is ElementKind.CAPACITOR else e.value * k
+        branches.append(Branch(br.node_a, br.node_b, Element(e.kind, v)))
+    return Network(net.node_count, tuple(branches))
+
+
+def test_verdicts_independent_of_units():
+    # Scaling every impedance by k scales Z by k and changes nothing else,
+    # even where sigma = |lambda|^2 would overflow or underflow.
+    rng = np.random.default_rng(403)
+    for trial in range(40):
+        net = random_connected_network(rng, 4, 12)
+        omega = float(10.0 ** rng.uniform(-1, 1))
+        n = net.node_count
+        ref = two_point_impedance(net, omega, 1, n)
+        for k in (1e170, 1e-170, 1e200, 1e-200, 1e250, 1e-250):
+            r = two_point_impedance(_scaled(net, k), omega, 1, n)
+            assert r.status is ref.status, f"trial {trial}, k={k}"
+            assert r.near_resonance == ref.near_resonance, f"trial {trial}, k={k}"
+            assert abs(r.value / k - ref.value) <= 1e-9 * abs(ref.value), (
+                f"trial {trial}, k={k}"
+            )
 
 
 # ── impedance matrix ─────────────────────────────────────────────────────

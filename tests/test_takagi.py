@@ -13,11 +13,10 @@ from impnet import (
     ValidationError,
     assemble_laplacian,
     classify_zero_modes,
-    hermitian_eigendecomposition,
     ring_network,
     takagi_decompose,
 )
-from conftest import SQRT3, lc_parallel, random_symmetric
+from conftest import SQRT3, lc_parallel, random_connected_network, random_symmetric
 
 SQRT2 = math.sqrt(2.0)
 
@@ -145,12 +144,15 @@ def test_real_symmetric_input_gives_real_modes():
 
 # ── degenerate clusters ──────────────────────────────────────────────────
 
-@pytest.mark.parametrize("n", [4, 5, 6, 8])
-def test_capacitor_ring_degenerate_clusters(n):
-    # Circulant reactive ring: sigma values come in exactly-degenerate pairs
-    # and the Laplacian is purely imaginary, driving the cluster branch and
-    # its phase-retry path.
-    net = ring_network(n, [Element.capacitor(1.0)] * n)
+@pytest.mark.parametrize("n, element", [
+    *(pytest.param(n, Element.capacitor(1.0), id=str(n)) for n in (4, 5, 6, 8)),
+    pytest.param(6, Element.resistor(1.0), id="resistor-6"),
+])
+def test_capacitor_ring_degenerate_clusters(n, element):
+    # Circulant ring: sigma values come in exactly-degenerate pairs.  The
+    # capacitor ring's Laplacian is purely imaginary, the resistor ring's
+    # purely real.
+    net = ring_network(n, [element] * n)
     lap = assemble_laplacian(net, 1.0)
     dec = takagi_decompose(lap)
     scale = np.linalg.norm(lap)
@@ -174,17 +176,20 @@ def test_constructed_exact_degeneracy_mixed_phases():
     assert np.abs(np.sort(np.abs(dec.lam)) - np.array([0.5, 1.0, 2.0, 2.0, 2.0])).max() <= 1e-12
 
 
-def test_grouping_tolerance_controls_clustering():
-    # With a huge degeneracy tolerance every sigma lands in one cluster; the
-    # construction must still satisfy the defining relation... for matrices
-    # whose sigma really are equal.  With distinct sigma, a forced single
-    # cluster is invalid input handling we do not promise; instead check a
-    # tiny tolerance still handles an exactly degenerate matrix (clusters
-    # found by gap, not by absolute closeness).
-    net = ring_network(6, [Element.resistor(1.0)] * 6)
-    lap = assemble_laplacian(net, 1.0).astype(complex)
-    dec = takagi_decompose(lap, degeneracy_rel_tol=1e-14)
-    assert _residual(lap, dec) <= 1e-10 * np.linalg.norm(lap)
+def test_wide_spread_resistor_networks():
+    # Resistances spanning ten decades: every |lambda| must match the
+    # singular values of L to the accuracy of one backward-stable solve,
+    # and the trivial mode must always be found.
+    rng = np.random.default_rng(2026)
+    for trial in range(50):
+        net = random_connected_network(rng, 30, 30, kinds="R", decades=5.0)
+        lap = assemble_laplacian(net, 1.0)
+        dec = takagi_decompose(lap)
+        classify_zero_modes(dec)
+        mags = np.abs(dec.lam)
+        want = np.sort(np.linalg.svd(lap, compute_uv=False))
+        assert np.abs(mags - want).max() <= 1e-12 * mags.max(), f"trial {trial}"
+        assert _unitarity(dec) <= 1e-12, f"trial {trial}"
 
 
 # ── error paths ──────────────────────────────────────────────────────────
@@ -200,19 +205,12 @@ def test_non_square_rejected():
         takagi_decompose(np.zeros((2, 3), dtype=complex))
 
 
-def test_hermitian_eigendecomposition_rejects_non_hermitian():
-    l = np.array([[1.0, 1j], [1j, 1.0]])  # symmetric but not Hermitian
-    with pytest.raises(ValidationError):
-        hermitian_eigendecomposition(l)
-
-
-def test_hermitian_eigendecomposition_orders_ascending():
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    h = a @ a.conj().T
-    vals, vecs = hermitian_eigendecomposition(h)
-    assert np.all(np.diff(vals) >= 0)
-    assert np.abs(h @ vecs - vecs * vals).max() <= 1e-10 * np.linalg.norm(h)
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_rejected(bad):
+    l = np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex)
+    l[0, 0] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        takagi_decompose(l)
 
 
 # ── zero-mode classification ─────────────────────────────────────────────
