@@ -34,6 +34,7 @@ from .impedance import (
     two_point_impedance,
 )
 from .laplacian import (
+    SINGULAR_REL_TOL,
     admittance_scale,
     assemble_laplacian,
     branch_admittance,
@@ -61,7 +62,6 @@ from .resonance import (
     sweep_resonances,
 )
 from .takagi import (
-    DEFAULT_ZERO_REL_TOL,
     TakagiDecomposition,
     ZeroModeClassification,
     classify_zero_modes,
@@ -74,7 +74,6 @@ __all__ = [
     "Boundary",
     "Branch",
     "ConvergenceError",
-    "DEFAULT_ZERO_REL_TOL",
     "DegenerateElementError",
     "DetectionMethod",
     "DisconnectedError",
@@ -92,6 +91,7 @@ __all__ = [
     "NotSymmetricError",
     "ResonanceReport",
     "RingReactanceCheck",
+    "SINGULAR_REL_TOL",
     "TakagiDecomposition",
     "ValidationError",
     "ZeroModeClassification",

@@ -20,11 +20,10 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidNodeError
-from .laplacian import admittance_scale, assemble_laplacian, check_angular_frequency
+from .laplacian import (
+    SINGULAR_REL_TOL, admittance_scale, assemble_laplacian, check_angular_frequency,
+)
 from .network import Network, check_pair
-
-# Pivot threshold relative to the admittance scale.
-_PIVOT_REL_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -74,8 +73,8 @@ def solve_node_potentials(
     """Node potentials for unit current injected at p and extracted at q.
 
     Node q is grounded (V_q = 0).  Returns the full n-vector of potentials,
-    or SingularSystem when an LU pivot of the grounded system falls below
-    1e-13 of the network admittance scale.
+    or SingularSystem when an LU pivot of the grounded system is at or below
+    SINGULAR_REL_TOL (1e-13) of the network admittance scale.
     """
     w = check_angular_frequency(omega)
     check_pair(net, p, q)
@@ -90,7 +89,7 @@ def solve_node_potentials(
     pivots = np.abs(np.diag(lu))
     scale = admittance_scale(net, w)
     pivot_min = float(pivots.min())
-    if pivot_min <= _PIVOT_REL_TOL * scale:
+    if pivot_min <= SINGULAR_REL_TOL * scale:
         return SingularSystem(ground=q, pivot_min=pivot_min, scale=scale)
     x = scipy.linalg.lu_solve((lu, piv), rhs)
     potentials = np.zeros(net.node_count, dtype=complex)

@@ -23,18 +23,12 @@ import numpy as np
 
 from .laplacian import admittance_scale, assemble_laplacian, check_angular_frequency
 from .network import Network, check_pair
-from .takagi import (
-    DEFAULT_ZERO_REL_TOL,
-    TakagiDecomposition,
-    classify_zero_modes,
-    takagi_decompose,
-)
+from .takagi import TakagiDecomposition, classify_zero_modes, takagi_decompose
 
-# An assembled Laplacian whose largest |lambda| is below this fraction of the
-# uncancelled admittance scale is numerically null: every entry has cancelled
-# to rounding noise (an all-reactive network exactly at resonance).  All of
-# its modes are treated as zero modes.
-_NULL_LAPLACIAN_REL_TOL = 1e-13
+# A finite result is flagged near_resonance when its smallest nontrivial
+# |lambda| is at or below this fraction of the largest: a conditioning
+# warning about the mode sum, not a verdict.
+NEAR_RESONANCE_REL = math.sqrt(1e-9)
 
 
 class ImpedanceStatus(Enum):
@@ -46,13 +40,16 @@ class ImpedanceStatus(Enum):
 class ImpedanceResult:
     """Impedance of one node pair at one angular frequency.
 
-    value holds the mode sum over retained (nonzero) modes; when the status
-    is RESONANT it is only the finite principal part and the physical
-    impedance diverges with strength divergent_coefficient, the largest
-    |(u_ap - u_aq)^2| over the nontrivial zero modes.  min_nontrivial_sigma
-    is the resonance-detection statistic (smallest sigma outside the trivial
-    mode); near_resonance flags a finite result within 10x of the zero
-    threshold on the sigma scale, where conditioning is already poor.
+    status is RESONANT when a nontrivial mode has |lambda| at or below
+    SINGULAR_REL_TOL times the network's admittance_scale, the rule the
+    direct route applies to its pivots.  value holds the mode sum over
+    retained (nonzero) modes; when RESONANT it is only the finite principal
+    part and the physical impedance diverges with strength
+    divergent_coefficient, the largest |(u_ap - u_aq)^2| over the nontrivial
+    zero modes.  min_nontrivial_sigma is the resonance-detection statistic
+    (smallest sigma outside the trivial mode); near_resonance flags a finite
+    result whose smallest nontrivial |lambda| is within NEAR_RESONANCE_REL
+    (about 3.2e-5) of the largest, where the mode sum is poorly conditioned.
     """
 
     status: ImpedanceStatus
@@ -69,7 +66,6 @@ def two_point_impedance(
     omega: float,
     p: int,
     q: int,
-    zero_rel_tol: float = DEFAULT_ZERO_REL_TOL,
 ) -> ImpedanceResult:
     """Effective impedance between nodes p and q (1-based) at omega.
 
@@ -80,8 +76,6 @@ def two_point_impedance(
         Angular frequency in rad/s.
     p, q : int
         Distinct 1-based node labels.
-    zero_rel_tol : float
-        Modes with sigma <= zero_rel_tol * max(sigma) count as zero modes.
 
     Returns
     -------
@@ -89,14 +83,10 @@ def two_point_impedance(
     """
     w = check_angular_frequency(omega)
     check_pair(net, p, q)
-    return _pair_result(_decompose(net, w, zero_rel_tol), w, p, q)
+    return _pair_result(_decompose(net, w), w, p, q)
 
 
-def impedance_matrix(
-    net: Network,
-    omega: float,
-    zero_rel_tol: float = DEFAULT_ZERO_REL_TOL,
-) -> list[list[ImpedanceResult]]:
+def impedance_matrix(net: Network, omega: float) -> list[list[ImpedanceResult]]:
     """All-pairs impedance table from a single factorization.
 
     Entry [p-1][q-1] equals two_point_impedance(net, omega, p, q); the table
@@ -104,7 +94,7 @@ def impedance_matrix(
     """
     w = check_angular_frequency(omega)
     n = net.node_count
-    spec = _decompose(net, w, zero_rel_tol)
+    spec = _decompose(net, w)
     table: list[list[ImpedanceResult | None]] = [[None] * n for _ in range(n)]
     for p in range(1, n + 1):
         table[p - 1][p - 1] = ImpedanceResult(
@@ -133,21 +123,15 @@ class _Spectrum(NamedTuple):
     near_resonance: bool
 
 
-def _decompose(net: Network, omega: float, zero_rel_tol: float) -> _Spectrum:
+def _decompose(net: Network, omega: float) -> _Spectrum:
     dec = takagi_decompose(assemble_laplacian(net, omega))
-    mags = np.abs(dec.lam)
-    if float(mags.max()) <= _NULL_LAPLACIAN_REL_TOL * admittance_scale(net, omega):
-        # globally cancelled Laplacian: every mode is a zero mode, and the
-        # trivial one is whichever column aligns best with the constant vector
-        trivial = int(np.argmax(np.abs(dec.u.sum(axis=0))))
-        resonant = np.delete(np.arange(dec.order), trivial)
-        return _Spectrum(dec, np.zeros(dec.order, dtype=bool), resonant, 0.0, False)
-    cls = classify_zero_modes(dec, zero_rel_tol)
+    cls = classify_zero_modes(dec, admittance_scale(net, omega))
     retained = np.ones(dec.order, dtype=bool)
     retained[list(cls.zero_indices)] = False
     resonant = np.array(
         [a for a in cls.zero_indices if a != cls.trivial_index], dtype=int
     )
+    mags = np.abs(dec.lam)
     others = np.delete(mags, cls.trivial_index)
     min_abs = float(others.min()) if others.size else 0.0
     return _Spectrum(
@@ -155,7 +139,7 @@ def _decompose(net: Network, omega: float, zero_rel_tol: float) -> _Spectrum:
         retained,
         resonant,
         min_abs * min_abs,  # saturates at inf, unlike min_abs**2
-        min_abs <= math.sqrt(10.0) * cls.threshold,
+        min_abs <= NEAR_RESONANCE_REL * float(mags.max()),
     )
 
 

@@ -19,6 +19,11 @@ import numpy as np
 from .errors import DegenerateElementError, ValidationError
 from .network import Element, ElementKind, Network
 
+# A Laplacian is singular at omega when a pivot (direct route) or a
+# factorization value |lambda| (spectral route) is at or below this fraction
+# of admittance_scale(net, omega).  The one singularity rule of the package.
+SINGULAR_REL_TOL = 1e-13
+
 
 def check_angular_frequency(omega: float) -> float:
     """Validate omega (rad/s): positive and finite."""
@@ -87,8 +92,8 @@ def admittance_scale(net: Network, omega: float) -> float:
 
     This is the magnitude the Laplacian diagonal would have if no admittance
     cancellation occurred, so it stays finite and meaningful even at an LC
-    resonance where the assembled matrix itself can vanish.  Used as the
-    reference scale for singularity verdicts.
+    resonance where the assembled matrix itself can vanish.  Singularity
+    verdicts compare against SINGULAR_REL_TOL times this scale.
     """
     w = check_angular_frequency(omega)
     totals = np.zeros(net.node_count)

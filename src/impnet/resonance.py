@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import NearSingularError, ValidationError
 from .laplacian import (
+    admittance_scale,
     assemble_laplacian,
     check_angular_frequency,
     smallest_nontrivial_sigma,
@@ -61,9 +62,10 @@ class DetectionMethod(Enum):
 class ResonanceReport:
     """Detected resonance frequencies, ascending and merged.
 
-    residuals holds zeros for analytic entries and the refined minima of the
-    sweep statistic for swept entries.  raw_count is the number of values
-    before merging duplicates within MERGE_REL_TOL; distinct_count after.
+    residuals holds zeros for analytic entries and, for swept entries, the
+    smallest nontrivial |lambda| (in siemens) at the refined minimum.
+    raw_count is the number of values before merging duplicates within
+    MERGE_REL_TOL; distinct_count after.
     """
 
     omegas: tuple[float, ...]
@@ -214,16 +216,20 @@ def sweep_resonances(
     Returns
     -------
     ResonanceReport
-        method SWEEP_REFINED; residuals are the minimized statistic values.
+        method SWEEP_REFINED; residuals are the smallest nontrivial |lambda|
+        at each refined minimum.
 
     Notes
     -----
-    Localization accuracy is limited by the noise basin of the statistic:
-    its eigenvalues carry absolute error of order eps times the largest
-    sigma, which flattens the minimum over a frequency interval of roughly
-    sqrt(eps) relative width for general multi-node networks.  Two-node
-    networks evaluate the statistic without that amplification and localize
-    to near machine precision.
+    The statistic is evaluated on c L(omega), where the power of two c
+    brings the admittance scale at the geometric centre of the range to
+    order one, so sigma neither overflows nor underflows whatever the
+    units.  Localization accuracy is limited by the noise basin of the
+    statistic: its eigenvalues carry absolute error of order eps times the
+    largest sigma, which flattens the minimum over a frequency interval of
+    roughly sqrt(eps) relative width for general multi-node networks.
+    Two-node networks evaluate the statistic without that amplification and
+    localize to near machine precision.
     """
     lo = check_angular_frequency(omega_lo)
     hi = check_angular_frequency(omega_hi)
@@ -232,8 +238,11 @@ def sweep_resonances(
     if points < 3:
         raise ValidationError(f"need at least 3 sweep points, got {points}")
 
+    _, e = math.frexp(admittance_scale(net, math.sqrt(lo) * math.sqrt(hi)))
+    c = math.ldexp(1.0, -e)
+
     def stat(w: float) -> float:
-        return smallest_nontrivial_sigma(assemble_laplacian(net, w))
+        return smallest_nontrivial_sigma(c * assemble_laplacian(net, w))
 
     grid = np.geomspace(lo, hi, points)
     svals = np.array([stat(w) for w in grid])
@@ -274,7 +283,7 @@ def sweep_resonances(
         merged.append((w, s))
     return ResonanceReport(
         omegas=tuple(w for w, _ in merged),
-        residuals=tuple(s for _, s in merged),
+        residuals=tuple(math.sqrt(s) / c for _, s in merged),
         method=DetectionMethod.SWEEP_REFINED,
         distinct_count=len(merged),
         raw_count=len(found),

@@ -33,15 +33,12 @@ from .errors import (
     NotSymmetricError,
     ValidationError,
 )
+from .laplacian import SINGULAR_REL_TOL
 
 _EPS = float(np.finfo(float).eps)
 
 # Relative symmetry tolerance for accepting an input as complex symmetric.
 _SYMMETRY_REL_TOL = 1e-13
-
-# Default classification threshold for zero modes: sigma relative to max
-# sigma, applied as |lambda| <= sqrt(DEFAULT_ZERO_REL_TOL) * max |lambda|.
-DEFAULT_ZERO_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -180,24 +177,23 @@ def _orient_zero_cluster(block: np.ndarray) -> np.ndarray:
     return block @ q
 
 
-def classify_zero_modes(
-    d: TakagiDecomposition,
-    zero_rel_tol: float = DEFAULT_ZERO_REL_TOL,
-) -> ZeroModeClassification:
+def classify_zero_modes(d: TakagiDecomposition, scale: float) -> ZeroModeClassification:
     """Split the zero modes of a Laplacian decomposition.
 
-    Zero modes are entries with |lambda| <= sqrt(zero_rel_tol) * max|lambda|,
-    the same threshold as sigma <= zero_rel_tol * max(sigma) without the
-    squaring that underflows or overflows at extreme admittance scales.
-    Exactly one of them must align with the constant vector (the trivial
-    mode every connected network has); any further zero modes are resonance
+    Zero modes are entries with |lambda| <= SINGULAR_REL_TOL * scale, where
+    scale is the network's admittance_scale: the rule the direct route
+    applies to its LU pivots.  It does not depend on max|lambda|, so a wide
+    spread of element values cannot turn a small live mode into a zero, and
+    a Laplacian that cancels completely has only zero modes.  Exactly one
+    of them must align with the constant vector (the trivial mode every
+    connected network has); any further zero modes are resonance
     indicators.  Raises NoTrivialZeroError when no zero mode overlaps the
     constant vector by at least 0.99, which signals input that is not a
     connected-network Laplacian.
     """
     n = d.order
     mags = np.abs(d.lam)
-    threshold = math.sqrt(zero_rel_tol) * float(mags.max())
+    threshold = SINGULAR_REL_TOL * float(scale)
     zero = np.flatnonzero(mags <= threshold)
     if not zero.size:
         raise NoTrivialZeroError("no zero mode present")

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from impnet import parse_netlist
+from impnet import SingularSystem, parse_netlist
 from impnet.cli import main
 from conftest import TRIANGLE_NETLIST
 
@@ -193,6 +193,14 @@ def test_sweep_rejects_bad_range(capsys, lc_path):
 
 # ── resonances ───────────────────────────────────────────────────────────
 
+def test_resonances_rejects_bad_range(capsys, lc_path):
+    assert main([
+        "resonances", lc_path, "--omega-lo", "2", "--omega-hi", "0.5",
+        "--points", "101",
+    ]) == 1
+    assert "omega_lo < omega_hi" in capsys.readouterr().err
+
+
 def test_resonances_json(capsys, lc_path):
     code = main([
         "resonances", lc_path, "--omega-lo", "0.5", "--omega-hi", "2.0",
@@ -313,19 +321,32 @@ def test_check_agrees_on_exact_resonance(capsys, lc_path):
     assert "resonant,singular,agree" in out
 
 
-def test_check_exit_3_on_verdict_mismatch(capsys, ring_llc_path):
-    # Just off exact resonance the factorization route is inside its zero
-    # threshold (sigma ~ 1e-13 relative) while the direct solve still
-    # pivots fine (~1e-7 of scale): a genuine disagreement between routes.
+def test_check_agrees_just_off_resonance(capsys, ring_llc_path):
+    # 1e-7 off exact resonance the smallest nontrivial |lambda| and the
+    # smallest direct pivot are both ~1e-7 of the admittance scale, far
+    # above the shared 1e-13 singularity rule: both routes call it finite.
     omega = (1.0 / math.sqrt(2.0)) * (1.0 + 1e-7)
     code = main(["check", ring_llc_path, "--omega", repr(omega)])
     out = capsys.readouterr().out
+    assert code == 0
+    assert "VERDICT MISMATCH" not in out
+
+
+def test_check_exit_3_on_verdict_mismatch(capsys, monkeypatch, triangle_path):
+    # A direct route that calls every pair singular disagrees with the
+    # finite spectral verdicts on the triangle: exit 3.
+    monkeypatch.setattr(
+        "impnet.cli.solve_direct",
+        lambda net, omega, p, q: SingularSystem(ground=q, pivot_min=0.0, scale=1.0),
+    )
+    code = main(["check", triangle_path, "--omega", "1.0"])
+    out = capsys.readouterr().out
     assert code == 3
     assert "VERDICT MISMATCH" in out
+    assert "verdict mismatches: 3" in out
 
 
 def test_check_mismatch_resolved_by_loose_direct_view(capsys, ring_llc_path):
-    # Same frequency, but widening the spectral zero threshold is not the
-    # fix; instead verify agreement holds at a frequency safely away.
+    # Agreement also holds at a frequency safely away from resonance.
     omega = (1.0 / math.sqrt(2.0)) * 1.5
     assert main(["check", ring_llc_path, "--omega", repr(omega)]) == 0

@@ -1,5 +1,6 @@
 """Resonance detection: closed forms, ring identities, sweeps."""
 
+import json
 import math
 
 import numpy as np
@@ -109,6 +110,21 @@ def test_sweep_resistor_network_finds_nothing():
     rep = sweep_resonances(net, 0.1, 10.0, 501)
     assert rep.omegas == ()
     assert rep.distinct_count == 0
+
+
+@pytest.mark.parametrize("k", [1e170, 1e-170])
+def test_sweep_independent_of_units(k):
+    # The L-L-C ring with every impedance scaled by k: sigma of the raw
+    # Laplacian would underflow (k = 1e170) or overflow (k = 1e-170).
+    net = ring_network(3, [
+        Element.inductor(k), Element.capacitor(1.0 / k), Element.inductor(k),
+    ])
+    rep = sweep_resonances(net, 0.1, 10.0, 201)
+    assert rep.distinct_count == 1
+    assert abs(rep.omegas[0] * math.sqrt(2.0) - 1.0) <= 1e-7
+    # the residual is the smallest |lambda| in siemens, tiny against 1/k
+    assert 0.0 <= rep.residuals[0] <= 1e-6 / k
+    json.dumps({"omegas": rep.omegas, "residuals": rep.residuals}, allow_nan=False)
 
 
 def test_sweep_no_refine_reports_grid_candidates():

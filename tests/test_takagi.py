@@ -11,6 +11,7 @@ from impnet import (
     NoTrivialZeroError,
     NotSymmetricError,
     ValidationError,
+    admittance_scale,
     assemble_laplacian,
     classify_zero_modes,
     ring_network,
@@ -185,7 +186,7 @@ def test_wide_spread_resistor_networks():
         net = random_connected_network(rng, 30, 30, kinds="R", decades=5.0)
         lap = assemble_laplacian(net, 1.0)
         dec = takagi_decompose(lap)
-        classify_zero_modes(dec)
+        classify_zero_modes(dec, admittance_scale(net, 1.0))
         mags = np.abs(dec.lam)
         want = np.sort(np.linalg.svd(lap, compute_uv=False))
         assert np.abs(mags - want).max() <= 1e-12 * mags.max(), f"trial {trial}"
@@ -217,7 +218,7 @@ def test_non_finite_rejected(bad):
 
 def test_classify_triangle_single_trivial_zero(triangle):
     dec = takagi_decompose(assemble_laplacian(triangle, 1.0))
-    cls = classify_zero_modes(dec)
+    cls = classify_zero_modes(dec, admittance_scale(triangle, 1.0))
     assert cls.zero_indices == (0,)
     assert cls.trivial_index == 0
     assert cls.nontrivial_zero_count == 0
@@ -230,7 +231,7 @@ def test_classify_resonant_ring_has_nontrivial_zero():
     ])
     omega = 1.0 / math.sqrt(2.0)
     dec = takagi_decompose(assemble_laplacian(net, omega))
-    cls = classify_zero_modes(dec)
+    cls = classify_zero_modes(dec, admittance_scale(net, omega))
     assert cls.nontrivial_zero_count == 1
     assert cls.trivial_index in cls.zero_indices
 
@@ -238,10 +239,11 @@ def test_classify_resonant_ring_has_nontrivial_zero():
 def test_classify_null_laplacian_two_zero_modes():
     # A 2-node LC pair at resonance cancels the whole Laplacian; the zero
     # cluster is the entire space and the constant mode must still be found.
-    lap = assemble_laplacian(lc_parallel(1.0, 1.0), 1.0)
+    net = lc_parallel(1.0, 1.0)
+    lap = assemble_laplacian(net, 1.0)
     assert np.abs(lap).max() <= 1e-15
     dec = takagi_decompose(lap)
-    cls = classify_zero_modes(dec)
+    cls = classify_zero_modes(dec, admittance_scale(net, 1.0))
     assert cls.nontrivial_zero_count == 1
 
 
@@ -250,10 +252,10 @@ def test_classify_requires_trivial_mode():
     # from the constant vector: not a network Laplacian, must be refused.
     dec = takagi_decompose(np.diag([0.0, 1.0, 2.0]).astype(complex))
     with pytest.raises(NoTrivialZeroError):
-        classify_zero_modes(dec)
+        classify_zero_modes(dec, 2.0)
 
 
 def test_classify_no_zero_modes_at_all():
     dec = takagi_decompose(np.diag([1.0, 2.0]).astype(complex))
     with pytest.raises(NoTrivialZeroError):
-        classify_zero_modes(dec)
+        classify_zero_modes(dec, 2.0)
