@@ -8,10 +8,8 @@ linear solve of the node equations serves as a cross-check throughout.
 """
 
 from .direct import (
-    GroundedSystem,
     SingularSystem,
     check_current_conservation,
-    grounded_system,
     solve_direct,
     solve_node_potentials,
 )
@@ -39,7 +37,7 @@ from .laplacian import (
     assemble_laplacian,
     branch_admittance,
     check_angular_frequency,
-    smallest_nontrivial_sigma,
+    laplacian_parts,
 )
 from .network import (
     Boundary,
@@ -57,9 +55,9 @@ from .resonance import (
     ResonanceReport,
     RingReactanceCheck,
     eigenvalue_product_identity_check,
+    find_resonances,
     grid_resonances_analytic,
     ring_reactance_resonance_check,
-    sweep_resonances,
 )
 from .takagi import (
     TakagiDecomposition,
@@ -79,7 +77,6 @@ __all__ = [
     "DisconnectedError",
     "Element",
     "ElementKind",
-    "GroundedSystem",
     "ImpedanceResult",
     "ImpedanceStatus",
     "ImpnetError",
@@ -102,18 +99,17 @@ __all__ = [
     "check_current_conservation",
     "classify_zero_modes",
     "eigenvalue_product_identity_check",
+    "find_resonances",
     "grid_network",
     "grid_resonances_analytic",
-    "grounded_system",
     "impedance_matrix",
+    "laplacian_parts",
     "parse_netlist",
     "ring_network",
     "ring_reactance_resonance_check",
     "serialize_netlist",
-    "smallest_nontrivial_sigma",
     "solve_direct",
     "solve_node_potentials",
-    "sweep_resonances",
     "takagi_decompose",
     "two_point_impedance",
     "__version__",

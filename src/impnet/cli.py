@@ -4,7 +4,7 @@ Subcommands::
 
     impnet impedance NETLIST --pair P Q (--omega W | --freq HZ) [--format F]
     impnet sweep NETLIST --pair P Q --omega-lo A --omega-hi B --points N
-    impnet resonances NETLIST --omega-lo A --omega-hi B --points N [--no-refine]
+    impnet resonances NETLIST --omega-lo A --omega-hi B [--format F]
     impnet generate (--ring N [--z RE,IM | --elements SPEC] |
                      --grid MxN --inductance H --capacitance F
                      [--boundary free|toroidal])
@@ -31,7 +31,7 @@ from .impedance import (
     two_point_impedance,
 )
 from .network import Boundary, Element, grid_network, parse_netlist, ring_network, serialize_netlist
-from .resonance import sweep_resonances
+from .resonance import find_resonances
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -81,12 +81,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--omega-hi", type=float, required=True)
     p_sweep.add_argument("--points", type=int, required=True)
 
-    p_res = sub.add_parser("resonances", help="sweep-detect resonance frequencies")
+    p_res = sub.add_parser("resonances", help="every resonance frequency in a band")
     p_res.add_argument("netlist")
     p_res.add_argument("--omega-lo", type=float, required=True)
     p_res.add_argument("--omega-hi", type=float, required=True)
-    p_res.add_argument("--points", type=int, required=True)
-    p_res.add_argument("--no-refine", action="store_true")
+    p_res.add_argument(
+        "--points", type=int, help="ignored; accepted for older command lines"
+    )
     p_res.add_argument("--format", choices=("human", "json", "csv"), default="human")
 
     p_gen = sub.add_parser("generate", help="emit a generated netlist to stdout")
@@ -227,9 +228,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_resonances(args) -> int:
     net = _load_network(args.netlist)
-    report = sweep_resonances(
-        net, args.omega_lo, args.omega_hi, args.points, refine=not args.no_refine
-    )
+    report = find_resonances(net, args.omega_lo, args.omega_hi)
     if args.format == "json":
         print(json.dumps({
             "omegas": list(report.omegas),

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import InvalidNodeError
 from .laplacian import (
     SINGULAR_REL_TOL, admittance_scale, assemble_laplacian, check_angular_frequency,
 )
@@ -39,34 +38,6 @@ class SingularSystem:
     scale: float
 
 
-@dataclass(frozen=True, eq=False)
-class GroundedSystem:
-    """Reduced system with one node grounded (removed).
-
-    kept maps reduced row/column index to the original 1-based node label.
-    """
-
-    reduced_matrix: np.ndarray
-    ground: int
-    kept: tuple[int, ...]
-
-
-def grounded_system(net: Network, omega: float, ground: int) -> GroundedSystem:
-    """Laplacian with the row and column of the grounded node removed."""
-    w = check_angular_frequency(omega)
-    n = net.node_count
-    if not isinstance(ground, int) or ground < 1 or ground > n:
-        raise InvalidNodeError(f"ground node {ground!r} outside 1..{n}")
-    lap = assemble_laplacian(net, w)
-    keep = [i for i in range(n) if i != ground - 1]
-    reduced = lap[np.ix_(keep, keep)]
-    return GroundedSystem(
-        reduced_matrix=reduced,
-        ground=ground,
-        kept=tuple(i + 1 for i in keep),
-    )
-
-
 def solve_node_potentials(
     net: Network, omega: float, p: int, q: int
 ) -> np.ndarray | SingularSystem:
@@ -78,24 +49,23 @@ def solve_node_potentials(
     """
     w = check_angular_frequency(omega)
     check_pair(net, p, q)
-    sys = grounded_system(net, w, ground=q)
+    g = q - 1
+    lap = assemble_laplacian(net, w)
+    reduced = np.delete(np.delete(lap, g, axis=0), g, axis=1)
     rhs = np.zeros(net.node_count - 1, dtype=complex)
-    rhs[sys.kept.index(p)] = 1.0
+    rhs[p - 1 if p < q else p - 2] = 1.0
     with warnings.catch_warnings():
         # exact singularity surfaces as a LinAlgWarning; the pivot test below
         # is the authoritative verdict
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(sys.reduced_matrix)
+        lu, piv = scipy.linalg.lu_factor(reduced)
     pivots = np.abs(np.diag(lu))
     scale = admittance_scale(net, w)
     pivot_min = float(pivots.min())
     if pivot_min <= SINGULAR_REL_TOL * scale:
         return SingularSystem(ground=q, pivot_min=pivot_min, scale=scale)
     x = scipy.linalg.lu_solve((lu, piv), rhs)
-    potentials = np.zeros(net.node_count, dtype=complex)
-    for idx, node in enumerate(sys.kept):
-        potentials[node - 1] = x[idx]
-    return potentials
+    return np.insert(x, g, 0.0)
 
 
 def solve_direct(

@@ -46,8 +46,8 @@ class ImpedanceResult:
     retained (nonzero) modes; when RESONANT it is only the finite principal
     part and the physical impedance diverges with strength
     divergent_coefficient, the largest |(u_ap - u_aq)^2| over the nontrivial
-    zero modes.  min_nontrivial_sigma is the resonance-detection statistic
-    (smallest sigma outside the trivial mode); near_resonance flags a finite
+    zero modes.  min_nontrivial_sigma is the smallest sigma = |lambda|^2
+    outside the trivial mode; near_resonance flags a finite
     result whose smallest nontrivial |lambda| is within NEAR_RESONANCE_REL
     (about 3.2e-5) of the largest, where the mode sum is poorly conditioned.
     """

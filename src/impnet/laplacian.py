@@ -62,12 +62,30 @@ def branch_admittance(element: Element, omega: float) -> complex:
     return y
 
 
+def _stamp(net: Network, ys: np.ndarray) -> np.ndarray:
+    """Node-basis Laplacian of net with ys[k] the admittance of branch k.
+
+    Parallel branches merge by summing their admittances in branch order,
+    and each diagonal entry is the negated sum of its merged off-diagonal
+    row, which keeps row sums at zero to machine precision.
+    """
+    n, m = net.node_count, len(net.branches)
+    a = np.fromiter((br.node_a - 1 for br in net.branches), np.intp, m)
+    b = np.fromiter((br.node_b - 1 for br in net.branches), np.intp, m)
+    adm = np.zeros((n, n), dtype=ys.dtype)
+    # (a, b) then (b, a) per branch: the accumulation order of a loop
+    np.add.at(
+        adm,
+        (np.column_stack((a, b)).ravel(), np.column_stack((b, a)).ravel()),
+        np.repeat(ys, 2),
+    )
+    lap = -adm
+    np.fill_diagonal(lap, adm.sum(axis=1))
+    return lap
+
+
 def assemble_laplacian(net: Network, omega: float) -> np.ndarray:
     """Assemble the node-basis Laplacian of a network at omega.
-
-    Parallel branches are merged by summing their admittances before
-    negation, and each diagonal entry is the negated sum of its merged
-    off-diagonal row, which keeps row sums at zero to machine precision.
 
     Returns
     -------
@@ -75,16 +93,30 @@ def assemble_laplacian(net: Network, omega: float) -> np.ndarray:
         Dense complex (node_count, node_count) matrix.
     """
     w = check_angular_frequency(omega)
-    n = net.node_count
-    adm = np.zeros((n, n), dtype=complex)
-    for br in net.branches:
-        y = branch_admittance(br.element, w)
-        a, b = br.node_a - 1, br.node_b - 1
-        adm[a, b] += y
-        adm[b, a] += y
-    lap = -adm
-    np.fill_diagonal(lap, adm.sum(axis=1))
-    return lap
+    ys = [branch_admittance(br.element, w) for br in net.branches]
+    return _stamp(net, np.array(ys, dtype=complex))
+
+
+def laplacian_parts(net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Constant Laplacians (C, Y, Gamma), L(omega) = Y + j omega C + Gamma/(j omega).
+
+    C holds the capacitances and Gamma the inverse inductances (both real),
+    Y the resistor and fixed-impedance admittances (complex).  Raises
+    ValidationError when an entry is not finite.
+    """
+    ys = np.array([branch_admittance(br.element, 1.0) for br in net.branches])
+    kinds = [br.element.kind for br in net.branches]
+    cap = np.array([k is ElementKind.CAPACITOR for k in kinds])
+    ind = np.array([k is ElementKind.INDUCTOR for k in kinds])
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        parts = (
+            _stamp(net, np.where(cap, ys.imag, 0.0)),
+            _stamp(net, np.where(cap | ind, 0.0, ys)),
+            _stamp(net, np.where(ind, -ys.imag, 0.0)),  # 1/(j L) = -j/L
+        )
+    if not all(np.isfinite(part).all() for part in parts):
+        raise ValidationError("a merged admittance of the network is not finite")
+    return parts
 
 
 def admittance_scale(net: Network, omega: float) -> float:
@@ -117,22 +149,3 @@ def _constant_complement(n: int) -> np.ndarray:
     q = h[:, 1:].copy()
     q.setflags(write=False)
     return q
-
-
-def smallest_nontrivial_sigma(lap: np.ndarray) -> float:
-    """Smallest eigenvalue of L^dagger L restricted off the constant vector.
-
-    The constant vector is an exact null vector of a network Laplacian, so
-    deflating it first isolates the physically meaningful part of the
-    spectrum; the result vanishing (relative to scale) signals a resonance.
-    """
-    lap = np.asarray(lap, dtype=complex)
-    n = lap.shape[0]
-    if n < 2:
-        raise ValidationError("need at least a 2-node Laplacian")
-    q = _constant_complement(n)
-    mq = lap @ q
-    hr = mq.conj().T @ mq
-    hr = 0.5 * (hr + hr.conj().T)
-    w = np.linalg.eigvalsh(hr)
-    return float(max(w[0], 0.0))

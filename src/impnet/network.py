@@ -186,8 +186,8 @@ def parse_netlist(text: str) -> Network:
     node_count = None
     branches: list[Branch] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         tokens = line.split()
         if node_count is None:

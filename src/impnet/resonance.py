@@ -1,4 +1,4 @@
-"""Resonance detection: closed forms, ring identities, and frequency sweeps.
+"""Resonance detection: closed forms, ring identities, and the LC pencil.
 
 An LC resonance is a frequency where some nontrivial factorization value of
 the network Laplacian vanishes, so the two-point impedance diverges.  For
@@ -6,9 +6,10 @@ rectangular LC grids the resonance frequencies have a closed form; for rings
 of reactances the resonance condition is that the reactances sum to zero,
 and the product of the nonconstant-mode eigenvalues of the ring Laplacian
 has a closed form that doubles as an end-to-end numerical identity check.
-General networks are handled by sweeping the smallest nontrivial sigma over
-a log-spaced frequency grid and refining each flagged dip by golden-section
-search.
+General networks are handled by find_resonances: the Laplacian is affine in
+j omega and 1/(j omega), so its resonances are eigenvalues of a quadratic
+pencil in s = j omega, all found by one generalized eigensolve and each
+confirmed by the impedance verdict.
 """
 
 from __future__ import annotations
@@ -18,54 +19,36 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.linalg
 
 from .errors import NearSingularError, ValidationError
+from .impedance import ImpedanceStatus, two_point_impedance
 from .laplacian import (
-    admittance_scale,
+    _constant_complement,
     assemble_laplacian,
     check_angular_frequency,
-    smallest_nontrivial_sigma,
+    laplacian_parts,
 )
 from .network import Boundary, Element, ElementKind, Network, ring_network
 
 # Two detected frequencies within this relative distance are one resonance.
 MERGE_REL_TOL = 1e-9
 
-# A sweep grid point becomes a refinement candidate when it is a local
-# minimum this far below the median sweep statistic.  The gate is loose on
-# purpose: at grid resolution a genuine zero crossing only dips a few orders
-# below the landscape, and the decisive depth test runs after refinement.
-_CANDIDATE_REL_DEPTH = 1e-2
-
-# A refined minimum counts as a resonance when it lands this far below the
-# median sweep statistic.  A true zero refines to the eigensolver noise
-# floor, many orders below any avoided crossing.
-_ACCEPT_REL_DEPTH = 1e-10
-
-# Absolute floor of the acceptance threshold, relative to the largest sweep
-# statistic: eigenvalues of the deflated normal matrix carry O(eps) noise.
-_ACCEPT_NOISE_FLOOR = 1e4 * np.finfo(float).eps
-
-# Golden-section refinement target, relative in omega.
-_REFINE_REL_TOL = 1e-10
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
-_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
-
 
 class DetectionMethod(Enum):
     ANALYTIC = "analytic"
-    SWEEP_REFINED = "sweep-refined"
+    PENCIL = "pencil"
 
 
 @dataclass(frozen=True)
 class ResonanceReport:
     """Detected resonance frequencies, ascending and merged.
 
-    residuals holds zeros for analytic entries and, for swept entries, the
-    smallest nontrivial |lambda| (in siemens) at the refined minimum.
-    raw_count is the number of values before merging duplicates within
-    MERGE_REL_TOL; distinct_count after.
+    residuals holds zeros for analytic entries and, for pencil entries, the
+    smallest nontrivial |lambda| (in siemens) at each frequency.  raw_count
+    is the number of values before merging duplicates within MERGE_REL_TOL
+    (for the pencil: roots in range, before confirmation); distinct_count
+    after.
     """
 
     omegas: tuple[float, ...]
@@ -184,133 +167,81 @@ def eigenvalue_product_identity_check(elements, omega: float) -> float:
     return abs(product - closed) / abs(closed)
 
 
-def sweep_resonances(
-    net: Network,
-    omega_lo: float,
-    omega_hi: float,
-    points: int,
-    refine: bool = True,
+def find_resonances(
+    net: Network, omega_lo: float, omega_hi: float
 ) -> ResonanceReport:
-    """Locate resonances by sweeping the smallest nontrivial sigma.
+    """Every resonance of net in [omega_lo, omega_hi], from one eigensolve.
 
-    The statistic s(omega) is evaluated on a log-spaced grid.  Interior
-    local minima dipping below 1e-2 of the median become candidates; each
-    candidate is refined by golden-section search on log(omega) to 1e-10
-    relative, and kept only when the refined minimum falls below 1e-10 of
-    the median (a true zero refines to the eigensolver noise floor, an
-    avoided crossing stalls at its finite depth).  Kept frequencies within
-    MERGE_REL_TOL of each other merge into one resonance.
+    With the parts of L(omega) = Y + j omega C + Gamma / (j omega),
+    j omega L(omega) = s^2 C + s Y + Gamma at s = j omega, so resonances are
+    the roots s = j omega of this quadratic pencil off the constant vector.
+    Substituting s = gamma t with gamma a power of two near sqrt(|Gamma| /
+    |C|) (or the ratio with |Y| when C or Gamma is zero) balances the
+    pencil, and a second power of two brings its largest coefficient to
+    order one, so the roots do not depend on the units or on the range.  One
+    QZ solve of the 2(n-1) companion linearization on the complement of the
+    constant vector gives every root t; those with Im t > 0 and |Re t| <=
+    sqrt(eps) |t| whose gamma Im t lies in the range are merged within
+    MERGE_REL_TOL, and each is kept only when two_point_impedance calls the
+    network RESONANT there (the verdict does not depend on the pair), so a
+    reported omega is one where ``impnet impedance`` exits 2.  When C and
+    Gamma are both zero, L does not depend on omega and nothing is reported.
 
-    Parameters
-    ----------
-    net : Network
-    omega_lo, omega_hi : float
-        Sweep range, 0 < omega_lo < omega_hi.
-    points : int
-        Grid size, at least 3.  Detection only flags dips the grid actually
-        resolves, so resolving sharp resonances needs a generous grid.
-    refine : bool
-        When False, skip refinement and report every candidate dip at grid
-        resolution without the depth test (coarse diagnostic mode).
-
-    Returns
-    -------
-    ResonanceReport
-        method SWEEP_REFINED; residuals are the smallest nontrivial |lambda|
-        at each refined minimum.
-
-    Notes
-    -----
-    The statistic is evaluated on c L(omega), where the power of two c
-    brings the admittance scale at the geometric centre of the range to
-    order one, so sigma neither overflows nor underflows whatever the
-    units.  Localization accuracy is limited by the noise basin of the
-    statistic: its eigenvalues carry absolute error of order eps times the
-    largest sigma, which flattens the minimum over a frequency interval of
-    roughly sqrt(eps) relative width for general multi-node networks.
-    Two-node networks evaluate the statistic without that amplification and
-    localize to near machine precision.
+    Near omega -> 0 the singularity rule itself can hold: when Gamma is
+    singular off the constant vector, |lambda| ~ omega C falls below 1e-13
+    of the admittance scale ~ 1/(omega L), and the pencil's roots at s = 0,
+    computed to about sqrt(eps), are reported when they lie in the range
+    (near 1e-8 for the 8x8 free grid with L = C = 1).  Each residual is
+    sqrt(min_nontrivial_sigma) of the confirming impedance query.
     """
     lo = check_angular_frequency(omega_lo)
     hi = check_angular_frequency(omega_hi)
     if not lo < hi:
         raise ValidationError(f"need omega_lo < omega_hi, got ({lo}, {hi})")
-    if points < 3:
-        raise ValidationError(f"need at least 3 sweep points, got {points}")
-
-    _, e = math.frexp(admittance_scale(net, math.sqrt(lo) * math.sqrt(hi)))
-    c = math.ldexp(1.0, -e)
-
-    def stat(w: float) -> float:
-        return smallest_nontrivial_sigma(c * assemble_laplacian(net, w))
-
-    grid = np.geomspace(lo, hi, points)
-    svals = np.array([stat(w) for w in grid])
-    median = float(np.median(svals))
-    top = float(svals.max())
-    if top == 0.0:
-        # Statistic vanishes identically: every frequency is resonant and a
-        # sweep cannot localize anything.
-        return ResonanceReport(
-            omegas=(), residuals=(), method=DetectionMethod.SWEEP_REFINED,
-            distinct_count=0, raw_count=0,
-        )
-    candidate_gate = _CANDIDATE_REL_DEPTH * (median if median > 0.0 else top)
-    accept = max(
-        _ACCEPT_REL_DEPTH * (median if median > 0.0 else top),
-        _ACCEPT_NOISE_FLOOR * top,
+    c, y, g = laplacian_parts(net)
+    nc, ny, ng = (float(np.abs(part).max()) for part in (c, y, g))
+    ec, ey, eg = (math.frexp(v)[1] for v in (nc, ny, ng))
+    if nc and ng:
+        k = (eg - ec) // 2
+    elif nc:
+        k = ey - ec
+    elif ng:
+        k = eg - ey
+    else:
+        return ResonanceReport((), (), DetectionMethod.PENCIL, 0, 0)
+    # s = 2^k t: coefficients 2^(2k) C, 2^k Y and Gamma, all times 2^d
+    d = -max(e for v, e in ((nc, ec + 2 * k), (ny, ey + k), (ng, eg)) if v)
+    q = _constant_complement(net.node_count)
+    a2, a1, a0 = (  # ldexp on the float view scales complex parts exactly
+        q.T @ np.ldexp(part.view(float), e).view(part.dtype) @ q
+        for part, e in ((c, 2 * k + d), (y, k + d), (g, d))
     )
-
-    found: list[tuple[float, float]] = []
-    for i in range(1, points - 1):
-        if svals[i] > candidate_gate:
-            continue
-        if svals[i] <= svals[i - 1] and svals[i] <= svals[i + 1]:
-            if refine:
-                w, s = _golden_min(stat, grid[i - 1], grid[i + 1])
-                if s <= accept:
-                    found.append((w, s))
-            else:
-                found.append((float(grid[i]), float(svals[i])))
-
-    found.sort()
-    merged: list[tuple[float, float]] = []
-    for w, s in found:
-        if merged and w - merged[-1][0] <= MERGE_REL_TOL * w:
-            if s < merged[-1][1]:
-                merged[-1] = (merged[-1][0], s)
-            continue
-        merged.append((w, s))
+    if not a1.imag.any():  # real QZ unless fixed impedances make Y complex
+        a1 = a1.real
+    m = q.shape[1]
+    eye, zero = np.eye(m), np.zeros((m, m))
+    alpha, beta = scipy.linalg.eigvals(
+        np.block([[-a1, -a0], [eye, zero]]), np.block([[a2, zero], [zero, eye]]),
+        overwrite_a=True, check_finite=False, homogeneous_eigvals=True,
+    )
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = alpha / beta
+    t = t[np.isfinite(t) & (t.imag > 0)]
+    t = t[np.abs(t.real) <= math.sqrt(np.finfo(float).eps) * np.abs(t)]
+    omegas = np.ldexp(t.imag, k)
+    raw = sorted(float(w) for w in omegas[(omegas >= lo) & (omegas <= hi)])
+    kept = []
+    for w in _merge_sorted(raw):
+        r = two_point_impedance(net, w, 1, 2)
+        if r.status is ImpedanceStatus.RESONANT:
+            kept.append((w, math.sqrt(r.min_nontrivial_sigma)))
     return ResonanceReport(
-        omegas=tuple(w for w, _ in merged),
-        residuals=tuple(math.sqrt(s) / c for _, s in merged),
-        method=DetectionMethod.SWEEP_REFINED,
-        distinct_count=len(merged),
-        raw_count=len(found),
+        omegas=tuple(w for w, _ in kept),
+        residuals=tuple(s for _, s in kept),
+        method=DetectionMethod.PENCIL,
+        distinct_count=len(kept),
+        raw_count=len(raw),
     )
-
-
-def _golden_min(f, a: float, b: float, rel_tol: float = _REFINE_REL_TOL):
-    """Golden-section minimum of f over [a, b], searched on a log axis."""
-    la, lb = math.log(a), math.log(b)
-    h = lb - la
-    lc = la + _INV_PHI2 * h
-    ld = la + _INV_PHI * h
-    fc = f(math.exp(lc))
-    fd = f(math.exp(ld))
-    while h > rel_tol:
-        if fc < fd:
-            lb, ld, fd = ld, lc, fc
-            h = lb - la
-            lc = la + _INV_PHI2 * h
-            fc = f(math.exp(lc))
-        else:
-            la, lc, fc = lc, ld, fd
-            h = lb - la
-            ld = la + _INV_PHI * h
-            fd = f(math.exp(ld))
-    w = math.exp(0.5 * (la + lb))
-    return w, f(w)
 
 
 def _merge_sorted(values: list[float]) -> list[float]:

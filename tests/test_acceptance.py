@@ -12,19 +12,17 @@ import pytest
 from scipy.optimize import brentq
 
 from impnet import (
-    Branch,
+    Boundary,
     Element,
     ImpedanceStatus,
-    Network,
     assemble_laplacian,
     grid_network,
     grid_resonances_analytic,
     impedance_matrix,
     eigenvalue_product_identity_check,
+    find_resonances,
     ring_network,
-    smallest_nontrivial_sigma,
     solve_direct,
-    sweep_resonances,
     takagi_decompose,
     two_point_impedance,
 )
@@ -97,9 +95,8 @@ def test_criterion_04_lc_resonance_localization():
     t0 = time.monotonic()
     for inductance, capacitance in ((1.0, 1.0), (2.0, 0.5), (1e-3, 1e-6)):
         omega_star = 1.0 / math.sqrt(inductance * capacitance)
-        rep = sweep_resonances(
-            lc_parallel(inductance, capacitance),
-            0.1 * omega_star, 10.0 * omega_star, 4001,
+        rep = find_resonances(
+            lc_parallel(inductance, capacitance), 0.1 * omega_star, 10.0 * omega_star,
         )
         assert rep.distinct_count == 1, (inductance, capacitance, rep.omegas)
         assert abs(rep.omegas[0] - omega_star) <= 1e-9 * omega_star
@@ -113,15 +110,32 @@ def test_criterion_05_grid_resonance_spectra():
     for m, n in ((3, 2), (3, 3), (4, 3)):
         analytic = grid_resonances_analytic(m, n, 1.0, 1.0)
         net = grid_network(m, n, 1.0, 1.0)
-        swept = sweep_resonances(
-            net, 0.8 * min(analytic.omegas), 1.2 * max(analytic.omegas), 2001,
+        swept = find_resonances(
+            net, 0.8 * min(analytic.omegas), 1.2 * max(analytic.omegas),
         )
         assert swept.distinct_count == analytic.distinct_count, (m, n)
         for ws, wa in zip(swept.omegas, analytic.omegas):
             assert abs(ws - wa) <= 1e-6 * wa, (m, n, ws, wa)
+    worst = 0.0
+    for m, boundary in ((8, Boundary.FREE), (8, Boundary.TOROIDAL),
+                        (12, Boundary.FREE), (12, Boundary.TOROIDAL)):
+        analytic = grid_resonances_analytic(m, m, 1.0, 1.0, boundary)
+        net = grid_network(m, m, 1.0, 1.0, boundary)
+        found = find_resonances(
+            net, 0.8 * min(analytic.omegas), 1.2 * max(analytic.omegas),
+        )
+        assert found.distinct_count == analytic.distinct_count, (m, boundary)
+        dev = np.abs(np.array(found.omegas) / analytic.omegas - 1.0).max()
+        worst = max(worst, dev)
+        assert dev <= 1e-12, (m, boundary, dev)
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
-    _report("criterion 5", "grid spectra (3,2), (3,3), (4,3) match", t0)
+    _report(
+        "criterion 5",
+        "grid spectra (3,2), (3,3), (4,3) match; 8x8 and 12x12 free and "
+        f"toroidal exact, worst rel dev {worst:.2e}",
+        t0,
+    )
 
 
 # ── criterion 6: ring sum rule flags resonance ──────────────────────────
@@ -154,6 +168,7 @@ def _reactance_sum(elements, omega):
 def test_criterion_06_sum_rule_resonances_flagged():
     t0 = time.monotonic()
     rng = np.random.default_rng(1606)
+    worst = 0.0
     for trial in range(20):
         n, elements = _random_reactance_ring(rng)
         omega_star = brentq(
@@ -165,7 +180,21 @@ def test_criterion_06_sum_rule_resonances_flagged():
         r = two_point_impedance(net, omega_star, p, q)
         assert r.status is ImpedanceStatus.RESONANT, (trial, n, omega_star)
         assert r.resonant_mode_count >= 1
-    _report("criterion 6", "20 sum-rule roots all flagged resonant", t0)
+        # the sum rule's one root in closed form: omega^2 = sum(1/C) / sum(L)
+        closed = math.sqrt(
+            sum(1.0 / el.value for el in elements if el.kind.value == "C")
+            / sum(el.value for el in elements if el.kind.value == "L")
+        )
+        found = find_resonances(net, 1e-4, 1e4)
+        assert found.distinct_count == 1, (trial, found.omegas)
+        dev = abs(found.omegas[0] / closed - 1.0)
+        worst = max(worst, dev)
+        assert dev <= 1e-12, (trial, dev)
+    _report(
+        "criterion 6",
+        f"20 sum-rule roots all flagged resonant and found, worst rel dev {worst:.2e}",
+        t0,
+    )
 
 
 # ── criterion 7: eigenvalue product identity ─────────────────────────────
@@ -201,10 +230,10 @@ def test_criterion_08_oracle_equivalence():
         omega = float(10.0 ** rng.uniform(-1, 1))
         lap = assemble_laplacian(net, omega)
         sigma_max = float(np.linalg.norm(lap, 2)) ** 2
-        if smallest_nontrivial_sigma(lap) < 1e-6 * sigma_max:
+        table = impedance_matrix(net, omega)
+        if table[0][1].min_nontrivial_sigma < 1e-6 * sigma_max:
             skipped += 1
             continue
-        table = impedance_matrix(net, omega)
         n = net.node_count
         for _ in range(5):
             p = int(rng.integers(1, n + 1))

@@ -3,11 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from impnet import SingularSystem, parse_netlist
+from impnet import SingularSystem, parse_netlist, serialize_netlist
 from impnet.cli import main
-from conftest import TRIANGLE_NETLIST
+from conftest import TRIANGLE_NETLIST, random_connected_network
 
 LC_NETLIST = "NET 2\nL 1 2 1.0\nC 1 2 1.0\n"
 RING_LLC_NETLIST = "NET 3\nL 1 2 1.0\nL 2 3 1.0\nC 3 1 1.0\n"
@@ -210,7 +211,7 @@ def test_resonances_json(capsys, lc_path):
     doc = json.loads(capsys.readouterr().out)
     assert doc["distinct_count"] == 1
     assert doc["omegas"][0] == pytest.approx(1.0, rel=1e-9)
-    assert doc["method"] == "sweep-refined"
+    assert doc["method"] == "pencil"
 
 
 def test_resonances_human(capsys, lc_path):
@@ -233,6 +234,37 @@ def test_resonances_none_found(capsys, tmp_path):
     ])
     assert code == 0
     assert "no resonances detected" in capsys.readouterr().out
+
+
+def test_every_reported_resonance_makes_impedance_exit_2(capsys, tmp_path):
+    rng = np.random.default_rng(31)
+    total = 0
+    for k in range(8):
+        p = tmp_path / f"lc{k}.net"
+        p.write_text(serialize_netlist(random_connected_network(rng, 3, 10, kinds="LC")))
+        assert main([
+            "resonances", str(p), "--omega-lo", "0.01", "--omega-hi", "100",
+            "--format", "json",
+        ]) == 0
+        omegas = json.loads(capsys.readouterr().out)["omegas"]
+        total += len(omegas)
+        for w in omegas:
+            argv = ["impedance", str(p), "--pair", "1", "2", "--omega", repr(w)]
+            assert main(argv) == 2, (k, w)
+        capsys.readouterr()
+    assert total >= 8
+
+
+@pytest.mark.parametrize("netlist", [
+    "NET 2\nL 1 2 1e-310\n",
+    "NET 2\nC 1 2 1e308\nC 1 2 1e308\n",  # finite admittances, infinite sum
+], ids=["tiny-inductor", "parallel-huge-capacitors"])
+def test_resonances_non_finite_part_is_input_error(capsys, tmp_path, netlist):
+    p = tmp_path / "overflow.net"
+    p.write_text(netlist)
+    argv = ["resonances", str(p), "--omega-lo", "0.5", "--omega-hi", "2.0"]
+    assert main(argv) == 1
+    assert "not finite" in capsys.readouterr().err
 
 
 # ── generate ─────────────────────────────────────────────────────────────

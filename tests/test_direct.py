@@ -13,7 +13,6 @@ from impnet import (
     SingularSystem,
     assemble_laplacian,
     check_current_conservation,
-    grounded_system,
     ring_network,
     solve_direct,
     solve_node_potentials,
@@ -50,24 +49,6 @@ def test_resonant_ring_singular():
     ])
     out = solve_direct(net, 1.0 / math.sqrt(2.0), 1, 2)
     assert isinstance(out, SingularSystem)
-
-
-# ── grounded system structure ────────────────────────────────────────────
-
-def test_grounded_system_shape(triangle):
-    sys_ = grounded_system(triangle, 1.0, ground=2)
-    assert sys_.reduced_matrix.shape == (2, 2)
-    assert sys_.kept == (1, 3)
-    lap = assemble_laplacian(triangle, 1.0)
-    want = lap[np.ix_([0, 2], [0, 2])]
-    assert np.array_equal(sys_.reduced_matrix, want)
-
-
-def test_grounded_system_validates_ground(triangle):
-    with pytest.raises(InvalidNodeError):
-        grounded_system(triangle, 1.0, ground=0)
-    with pytest.raises(InvalidNodeError):
-        grounded_system(triangle, 1.0, ground=4)
 
 
 # ── node potentials and current conservation ─────────────────────────────

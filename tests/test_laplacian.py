@@ -1,4 +1,4 @@
-"""Laplacian assembly, admittances, and the deflated sigma statistic."""
+"""Laplacian assembly, admittances, and the constant parts."""
 
 import math
 
@@ -13,8 +13,8 @@ from impnet import (
     assemble_laplacian,
     branch_admittance,
     check_angular_frequency,
+    laplacian_parts,
     ring_network,
-    smallest_nontrivial_sigma,
 )
 from conftest import SQRT3, random_connected_network
 
@@ -98,36 +98,23 @@ def test_admittance_scale_is_max_row_abs_sum():
     assert admittance_scale(net, 1.0) == pytest.approx(2.0)
 
 
-# ── deflated sigma statistic ─────────────────────────────────────────────
+# ── constant parts ───────────────────────────────────────────────────────
 
-def test_smallest_nontrivial_sigma_matches_ring_closed_form():
-    # Uniform ring of resistors: eigenvalues of the Laplacian are
-    # g * mu_k with mu_k = 2 - 2 cos(2 pi k / n); sigma = value squared.
-    n = 6
-    g = 0.5
-    net = ring_network(n, [Element.resistor(1.0 / g)] * n)
-    lap = assemble_laplacian(net, 1.0)
-    mu_1 = 2.0 - 2.0 * math.cos(2.0 * math.pi / n)
-    want = (g * mu_1) ** 2
-    got = smallest_nontrivial_sigma(lap)
-    assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_smallest_nontrivial_sigma_zero_at_resonance():
-    from conftest import lc_parallel
-    lap = assemble_laplacian(lc_parallel(1.0, 1.0), 1.0)
-    assert smallest_nontrivial_sigma(lap) <= 1e-20
+def test_laplacian_parts_recombine():
+    rng = np.random.default_rng(12)
+    for _ in range(25):
+        net = random_connected_network(rng, 3, 10)
+        c, y, g = laplacian_parts(net)
+        assert c.dtype == g.dtype == np.float64
+        for omega in (0.3, 1.0, 7.0):
+            lap = assemble_laplacian(net, omega)
+            parts = y + 1j * omega * c + g / (1j * omega)
+            assert np.abs(parts - lap).max() <= 1e-14 * np.abs(lap).max()
 
 
-def test_smallest_nontrivial_sigma_excludes_constant_mode():
-    # For any connected resistor network the raw Laplacian has sigma_min = 0
-    # from the constant mode; the deflated statistic must be positive.
-    rng = np.random.default_rng(3)
-    net = random_connected_network(rng, 4, 8, kinds="R")
-    lap = assemble_laplacian(net, 1.0)
-    assert smallest_nontrivial_sigma(lap) > 1e-6
-
-
-def test_smallest_nontrivial_sigma_rejects_single_node():
+def test_laplacian_parts_reject_non_finite_sum():
+    from impnet import Branch, Network
+    big = Element.capacitor(1e308)
+    net = Network(2, (Branch(1, 2, big), Branch(1, 2, big)))
     with pytest.raises(ValidationError):
-        smallest_nontrivial_sigma(np.zeros((1, 1), dtype=complex))
+        laplacian_parts(net)

@@ -149,6 +149,21 @@ def test_parse_unknown_kind_reports_line():
     assert exc.value.line == 2
 
 
+def test_parse_inline_comments():
+    text = (
+        "# three-node example\n"
+        "NET 3   # nodes\n"
+        "Z 1 2 0 1.7320508075688772     # fixed impedance re im\n"
+        "Z 2 3 0 -1.7320508075688772\n"
+        "Z 3 1 1 0#no space\n"
+    )
+    net = parse_netlist(text)
+    assert net.node_count == 3
+    assert [br.element.value for br in net.branches] == [
+        1.7320508075688772j, -1.7320508075688772j, 1 + 0j,
+    ]
+
+
 def test_parse_wrong_token_count():
     with pytest.raises(NetlistSyntaxError):
         parse_netlist("NET 2\nR 1 2\n")

@@ -1,4 +1,4 @@
-"""Resonance detection: closed forms, ring identities, sweeps."""
+"""Resonance detection: closed forms, ring identities, the LC pencil."""
 
 import json
 import math
@@ -11,13 +11,15 @@ from impnet import (
     DetectionMethod,
     Element,
     NearSingularError,
+    ImpedanceStatus,
     ValidationError,
     eigenvalue_product_identity_check,
+    find_resonances,
     grid_network,
     grid_resonances_analytic,
     ring_network,
     ring_reactance_resonance_check,
-    sweep_resonances,
+    two_point_impedance,
 )
 from conftest import lc_parallel
 
@@ -63,14 +65,14 @@ def test_grid_analytic_validation():
         grid_resonances_analytic(3, 3, 0.0, 1.0)
 
 
-# ── sweep agrees with closed forms ───────────────────────────────────────
+# ── pencil agrees with closed forms ───────────────────────────────────────
 
 @pytest.mark.parametrize("shape", [(3, 2), (3, 3), (4, 3)])
 def test_sweep_matches_analytic_free_grid(shape):
     m, n = shape
     rep_a = grid_resonances_analytic(m, n, 1.0, 1.0)
     net = grid_network(m, n, 1.0, 1.0)
-    rep_s = sweep_resonances(net, min(rep_a.omegas) * 0.8, max(rep_a.omegas) * 1.2, 2001)
+    rep_s = find_resonances(net, min(rep_a.omegas) * 0.8, max(rep_a.omegas) * 1.2)
     assert rep_s.distinct_count == rep_a.distinct_count
     for ws, wa in zip(rep_s.omegas, rep_a.omegas):
         assert abs(ws - wa) <= 1e-6 * wa
@@ -80,7 +82,7 @@ def test_sweep_matches_analytic_free_grid(shape):
 def test_sweep_matches_toroidal_enumeration(shape, count):
     # Direct enumeration of |sin(n pi/N)/sin(m pi/M)| collapses more
     # coincidences than the integral-part counting rule [(M+1)/2][(N+1)/2]
-    # predicts for these shapes (that rule gives 1, 4, 4).  The sweep is the
+    # predicts for these shapes (that rule gives 1, 4, 4).  The pencil is the
     # ground truth here and it agrees with the enumeration.
     m, n = shape
     rep_a = grid_resonances_analytic(m, n, 1.0, 1.0, Boundary.TOROIDAL)
@@ -93,33 +95,33 @@ def test_sweep_matches_toroidal_enumeration(shape, count):
             f"{counting_rule}"
         )
     net = grid_network(m, n, 1.0, 1.0, Boundary.TOROIDAL)
-    rep_s = sweep_resonances(net, min(rep_a.omegas) * 0.8, max(rep_a.omegas) * 1.2, 2001)
+    rep_s = find_resonances(net, min(rep_a.omegas) * 0.8, max(rep_a.omegas) * 1.2)
     assert rep_s.distinct_count == rep_a.distinct_count
     for ws, wa in zip(rep_s.omegas, rep_a.omegas):
         assert abs(ws - wa) <= 1e-6 * wa
 
 
 def test_sweep_lc_parallel_single_sharp_resonance():
-    rep = sweep_resonances(lc_parallel(1.0, 1.0), 0.5, 2.0, 4001)
+    rep = find_resonances(lc_parallel(1.0, 1.0), 0.5, 2.0)
     assert rep.distinct_count == 1
     assert abs(rep.omegas[0] - 1.0) <= 1e-9
 
 
 def test_sweep_resistor_network_finds_nothing():
     net = ring_network(4, [Element.resistor(1.0)] * 4)
-    rep = sweep_resonances(net, 0.1, 10.0, 501)
+    rep = find_resonances(net, 0.1, 10.0)
     assert rep.omegas == ()
     assert rep.distinct_count == 0
 
 
-@pytest.mark.parametrize("k", [1e170, 1e-170])
+@pytest.mark.parametrize("k", [1e170, 1e-170, 1e300, 1e-300])
 def test_sweep_independent_of_units(k):
     # The L-L-C ring with every impedance scaled by k: sigma of the raw
-    # Laplacian would underflow (k = 1e170) or overflow (k = 1e-170).
+    # Laplacian would underflow (k >= 1e170) or overflow (k <= 1e-170).
     net = ring_network(3, [
         Element.inductor(k), Element.capacitor(1.0 / k), Element.inductor(k),
     ])
-    rep = sweep_resonances(net, 0.1, 10.0, 201)
+    rep = find_resonances(net, 0.1, 10.0)
     assert rep.distinct_count == 1
     assert abs(rep.omegas[0] * math.sqrt(2.0) - 1.0) <= 1e-7
     # the residual is the smallest |lambda| in siemens, tiny against 1/k
@@ -127,22 +129,42 @@ def test_sweep_independent_of_units(k):
     json.dumps({"omegas": rep.omegas, "residuals": rep.residuals}, allow_nan=False)
 
 
-def test_sweep_no_refine_reports_grid_candidates():
-    rep = sweep_resonances(lc_parallel(1.0, 1.0), 0.5, 2.0, 2001, refine=False)
-    assert rep.distinct_count >= 1
-    # grid resolution only: the dip sits within one log step of the truth
-    step = math.log(2.0 / 0.5) / 2000.0
-    assert abs(math.log(rep.omegas[0])) <= 2.0 * step
+@pytest.mark.parametrize("lo,hi", [(1e-9, 1e3), (1e-3, 1e9)])
+def test_pencil_wide_ranges_find_every_grid_resonance(lo, hi):
+    # The scaling does not depend on the range: all 43 closed-form values of
+    # the 8x8 free grid are found on both ranges, and any further frequency
+    # (near omega -> 0, where |lambda| ~ omega C drops below the rule) is one
+    # the impedance verdict calls RESONANT.
+    want = np.array(grid_resonances_analytic(8, 8, 1.0, 1.0).omegas)
+    net = grid_network(8, 8, 1.0, 1.0)
+    got = np.array(find_resonances(net, lo, hi).omegas)
+    dev = np.abs(got[:, None] - want[None, :]) / want[None, :]
+    assert (dev.min(axis=0) <= 1e-12).all()
+    for w in got[dev.min(axis=1) > 1e-12]:
+        assert two_point_impedance(net, float(w), 1, 2).status is ImpedanceStatus.RESONANT
+
+
+def test_pencil_ring_with_fixed_reactance():
+    # L = C = 1 and a fixed j*1 ohm in one ring: the reactances sum to zero
+    # where omega - 1/omega + 1 = 0; the pencil's Y part is complex.
+    lossless = ring_network(3, [
+        Element.inductor(1.0), Element.capacitor(1.0), Element.impedance(1j),
+    ])
+    rep = find_resonances(lossless, 0.1, 10.0)
+    assert rep.distinct_count == 1
+    assert abs(rep.omegas[0] / ((math.sqrt(5.0) - 1.0) / 2.0) - 1.0) <= 1e-12
+    lossy = ring_network(3, [
+        Element.inductor(1.0), Element.capacitor(1.0), Element.impedance(1 + 1j),
+    ])
+    assert find_resonances(lossy, 0.1, 10.0).omegas == ()
 
 
 def test_sweep_validation():
     net = lc_parallel(1.0, 1.0)
     with pytest.raises(ValidationError):
-        sweep_resonances(net, 2.0, 1.0, 100)
+        find_resonances(net, 2.0, 1.0)
     with pytest.raises(ValidationError):
-        sweep_resonances(net, 0.0, 1.0, 100)
-    with pytest.raises(ValidationError):
-        sweep_resonances(net, 0.5, 2.0, 2)
+        find_resonances(net, 0.0, 1.0)
 
 
 # ── ring reactance sum rule ──────────────────────────────────────────────
@@ -168,11 +190,8 @@ def test_sum_rule_agrees_with_sweep():
     omega_star = 1.0 / math.sqrt(2.5 * 1.5)
     assert ring_reactance_resonance_check(elements, omega_star).is_resonant
     net = ring_network(3, elements)
-    rep = sweep_resonances(net, omega_star / 3.0, omega_star * 3.0, 1001)
+    rep = find_resonances(net, omega_star / 3.0, omega_star * 3.0)
     assert rep.distinct_count == 1
-    # localization is limited by the noise basin of the sigma statistic
-    # (absolute eigenvalue noise ~ eps * sigma_max flattens the minimum),
-    # roughly sqrt(eps) relative for multi-node networks
     assert abs(rep.omegas[0] - omega_star) <= 1e-7 * omega_star
 
 
