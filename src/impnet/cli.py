@@ -173,7 +173,7 @@ def _csv_row(r: ImpedanceResult) -> str:
     status = "resonant" if r.status is ImpedanceStatus.RESONANT else "ok"
     return (
         f"{_fmt(r.omega)},{_fmt(r.value.real)},{_fmt(r.value.imag)},"
-        f"{_fmt(r.min_nontrivial_sigma)},{status}"
+        f"{_fmt(r.min_nontrivial_abs_lambda)},{status}"
     )
 
 
@@ -184,7 +184,7 @@ def _cmd_impedance(args) -> int:
     if args.format == "json":
         print(json.dumps(_impedance_json(r)))
     elif args.format == "csv":
-        print("omega,z_re,z_im,min_sigma,status")
+        print("omega,z_re,z_im,min_abs_lambda,status")
         print(_csv_row(r))
     elif r.status is ImpedanceStatus.RESONANT:
         print(f"RESONANT at omega = {_fmt(r.omega)} rad/s")
@@ -217,7 +217,7 @@ def _cmd_sweep(args) -> int:
     if args.points < 2:
         print("impnet: error: need at least 2 sweep points", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    print("omega,z_re,z_im,min_sigma,status")
+    print("omega,z_re,z_im,min_abs_lambda,status")
     for w in np.geomspace(args.omega_lo, args.omega_hi, args.points):
         r = two_point_impedance(net, float(w), p, q)
         print(_csv_row(r))
@@ -236,6 +236,7 @@ def _cmd_resonances(args) -> int:
             "method": report.method.value,
             "distinct_count": report.distinct_count,
             "raw_count": report.raw_count,
+            "certified_count": report.certified_count,
         }))
     elif args.format == "csv":
         print("omega,residual")

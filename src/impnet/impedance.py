@@ -46,8 +46,8 @@ class ImpedanceResult:
     retained (nonzero) modes; when RESONANT it is only the finite principal
     part and the physical impedance diverges with strength
     divergent_coefficient, the largest |(u_ap - u_aq)^2| over the nontrivial
-    zero modes.  min_nontrivial_sigma is the smallest sigma = |lambda|^2
-    outside the trivial mode; near_resonance flags a finite
+    zero modes.  min_nontrivial_abs_lambda is the smallest |lambda| (in
+    siemens) outside the trivial mode; near_resonance flags a finite
     result whose smallest nontrivial |lambda| is within NEAR_RESONANCE_REL
     (about 3.2e-5) of the largest, where the mode sum is poorly conditioned.
     """
@@ -57,7 +57,7 @@ class ImpedanceResult:
     omega: float
     resonant_mode_count: int
     divergent_coefficient: float | None
-    min_nontrivial_sigma: float
+    min_nontrivial_abs_lambda: float
     near_resonance: bool
 
 
@@ -103,7 +103,7 @@ def impedance_matrix(net: Network, omega: float) -> list[list[ImpedanceResult]]:
             omega=w,
             resonant_mode_count=0,
             divergent_coefficient=None,
-            min_nontrivial_sigma=spec.min_sigma,
+            min_nontrivial_abs_lambda=spec.min_abs,
             near_resonance=False,
         )
         for q in range(p + 1, n + 1):
@@ -119,7 +119,7 @@ class _Spectrum(NamedTuple):
     dec: TakagiDecomposition
     retained: np.ndarray  # mask of the modes summed (nonzero lambda)
     resonant: np.ndarray  # indices of the nontrivial zero modes
-    min_sigma: float  # smallest sigma outside the trivial mode
+    min_abs: float  # smallest |lambda| outside the trivial mode
     near_resonance: bool
 
 
@@ -138,7 +138,7 @@ def _decompose(net: Network, omega: float) -> _Spectrum:
         dec,
         retained,
         resonant,
-        min_abs * min_abs,  # saturates at inf, unlike min_abs**2
+        min_abs,
         min_abs <= NEAR_RESONANCE_REL * float(mags.max()),
     )
 
@@ -154,7 +154,7 @@ def _pair_result(spec: _Spectrum, omega: float, p: int, q: int) -> ImpedanceResu
             omega=omega,
             resonant_mode_count=int(spec.resonant.size),
             divergent_coefficient=float(np.abs(diffs2[spec.resonant]).max()),
-            min_nontrivial_sigma=spec.min_sigma,
+            min_nontrivial_abs_lambda=spec.min_abs,
             near_resonance=False,
         )
     return ImpedanceResult(
@@ -163,6 +163,6 @@ def _pair_result(spec: _Spectrum, omega: float, p: int, q: int) -> ImpedanceResu
         omega=omega,
         resonant_mode_count=0,
         divergent_coefficient=None,
-        min_nontrivial_sigma=spec.min_sigma,
+        min_nontrivial_abs_lambda=spec.min_abs,
         near_resonance=spec.near_resonance,
     )

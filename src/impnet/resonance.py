@@ -8,7 +8,10 @@ and the product of the nonconstant-mode eigenvalues of the ring Laplacian
 has a closed form that doubles as an end-to-end numerical identity check.
 General networks are handled by find_resonances: the Laplacian is affine in
 j omega and 1/(j omega), so its resonances are eigenvalues of a quadratic
-pencil in s = j omega, all found by one generalized eigensolve and each
+pencil in s = j omega, all found by one generalized eigensolve.  Each is
+certified from its own eigenvector, a backward-error bound in the sense of
+Tisseur, "Backward error and condition of polynomial eigenvalue problems",
+Linear Algebra Appl. 309 (2000); only a root that fails the certificate is
 confirmed by the impedance verdict.
 """
 
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -24,6 +28,7 @@ import scipy.linalg
 from .errors import NearSingularError, ValidationError
 from .impedance import ImpedanceStatus, two_point_impedance
 from .laplacian import (
+    SINGULAR_REL_TOL,
     _constant_complement,
     assemble_laplacian,
     check_angular_frequency,
@@ -33,6 +38,8 @@ from .network import Boundary, Element, ElementKind, Network, ring_network
 
 # Two detected frequencies within this relative distance are one resonance.
 MERGE_REL_TOL = 1e-9
+
+_EPS = float(np.finfo(float).eps)
 
 
 class DetectionMethod(Enum):
@@ -44,11 +51,19 @@ class DetectionMethod(Enum):
 class ResonanceReport:
     """Detected resonance frequencies, ascending and merged.
 
-    residuals holds zeros for analytic entries and, for pencil entries, the
-    smallest nontrivial |lambda| (in siemens) at each frequency.  raw_count
-    is the number of values before merging duplicates within MERGE_REL_TOL
-    (for the pencil: roots in range, before confirmation); distinct_count
-    after.
+    raw_count is the number of values before merging duplicates within
+    MERGE_REL_TOL (for the pencil: roots in range, before confirmation);
+    distinct_count after.  residuals holds zeros for analytic entries.  For
+    pencil entries it holds evidence in siemens that some nontrivial
+    |lambda| of L(omega) is at or below theta = SINGULAR_REL_TOL *
+    admittance_scale(net, omega).  certified_count of them were proven by
+    their own pencil eigenvector z: the residual is ||L(omega) z|| / ||z||,
+    which bounds the smallest nontrivial |lambda| from above, and it passed
+    (||L(omega) z|| + a) (1 + gamma_(4n+3r)) <= theta ||z|| with a the
+    rounding allowance of the evaluation (find_resonances names every
+    term).  The others failed that test and were confirmed by
+    two_point_impedance; their residual is its min_nontrivial_abs_lambda.
+    Analytic reports certify nothing.
     """
 
     omegas: tuple[float, ...]
@@ -56,6 +71,7 @@ class ResonanceReport:
     method: DetectionMethod
     distinct_count: int
     raw_count: int
+    certified_count: int
 
 
 def grid_resonances_analytic(
@@ -94,6 +110,7 @@ def grid_resonances_analytic(
         method=DetectionMethod.ANALYTIC,
         distinct_count=len(merged),
         raw_count=len(raw),
+        certified_count=0,
     )
 
 
@@ -175,30 +192,83 @@ def find_resonances(
     With the parts of L(omega) = Y + j omega C + Gamma / (j omega),
     j omega L(omega) = s^2 C + s Y + Gamma at s = j omega, so resonances are
     the roots s = j omega of this quadratic pencil off the constant vector.
-    Substituting s = gamma t with gamma a power of two near sqrt(|Gamma| /
-    |C|) (or the ratio with |Y| when C or Gamma is zero) balances the
-    pencil, and a second power of two brings its largest coefficient to
-    order one, so the roots do not depend on the units or on the range.  One
-    QZ solve of the 2(n-1) companion linearization on the complement of the
-    constant vector gives every root t; those with Im t > 0 and |Re t| <=
-    sqrt(eps) |t| whose gamma Im t lies in the range are merged within
-    MERGE_REL_TOL, and each is kept only when two_point_impedance calls the
-    network RESONANT there (the verdict does not depend on the pair), so a
-    reported omega is one where ``impnet impedance`` exits 2.  When C and
-    Gamma are both zero, L does not depend on omega and nothing is reported.
+    Substituting s = 2^k t with 2^k near sqrt(|Gamma| / |C|) (or the ratio
+    with |Y| when C or Gamma is zero) balances the pencil, and a factor 2^d
+    brings its largest coefficient to order one, so the roots do not depend
+    on the units or on the range.  One QZ solve with right eigenvectors of
+    the 2(n-1) companion linearization on the complement of the constant
+    vector gives every root t; those with Im t > 0 and |Re t| <= sqrt(eps)
+    |t| whose omega = 2^k Im t lies in the range are merged within
+    MERGE_REL_TOL.  When C and Gamma are both zero, L does not depend on
+    omega and nothing is reported.
+
+    Each merged omega is reported only when the network is RESONANT there
+    by the rule of two_point_impedance: some nontrivial |lambda| is at or
+    below theta = SINGULAR_REL_TOL * admittance_scale(net, omega).  The
+    root's own eigenvector decides this in O(n^2) (see _certify): with z the
+    bottom half x of the eigenvector lifted to the node basis,
+
+        (||L z|| + a) * (1 + gamma_(4n+3r)) <= theta * ||z||,
+
+    where ||L z|| is the computed 2-norm of L(omega) z, a the rounding
+    allowance of _certify, r the largest number of nonzeros in a row of the
+    parts, and gamma_m = m u / (1 - m u) with u the unit roundoff.  A root
+    that fails this test falls back to two_point_impedance(net, omega, 1, 2)
+    (the verdict does not depend on the pair) and is kept only when it is
+    RESONANT, so a reported omega is one where ``impnet impedance`` exits 2.
 
     Near omega -> 0 the singularity rule itself can hold: when Gamma is
     singular off the constant vector, |lambda| ~ omega C falls below 1e-13
     of the admittance scale ~ 1/(omega L), and the pencil's roots at s = 0,
     computed to about sqrt(eps), are reported when they lie in the range
-    (near 1e-8 for the 8x8 free grid with L = C = 1).  Each residual is
-    sqrt(min_nontrivial_sigma) of the confirming impedance query.
+    (near 1e-8 for the 8x8 free grid with L = C = 1).
     """
     lo = check_angular_frequency(omega_lo)
     hi = check_angular_frequency(omega_hi)
     if not lo < hi:
         raise ValidationError(f"need omega_lo < omega_hi, got ({lo}, {hi})")
-    c, y, g = laplacian_parts(net)
+    pencil = _balance(*laplacian_parts(net))
+    if pencil is None:
+        return ResonanceReport((), (), DetectionMethod.PENCIL, 0, 0, 0)
+    omegas, z = _pencil_roots(pencil, lo, hi)
+    merged = _merge_sorted(omegas.tolist())
+    first = np.searchsorted(omegas, merged)  # the first root of each cluster
+    residuals, certified = _certify(pencil, np.array(merged), z[:, first])
+    kept = []
+    for w, s, ok in zip(merged, residuals.tolist(), certified):
+        if not ok:
+            r = two_point_impedance(net, w, 1, 2)
+            if r.status is not ImpedanceStatus.RESONANT:
+                continue
+            s = r.min_nontrivial_abs_lambda
+        kept.append((w, s))
+    return ResonanceReport(
+        omegas=tuple(w for w, _ in kept),
+        residuals=tuple(s for _, s in kept),
+        method=DetectionMethod.PENCIL,
+        distinct_count=len(kept),
+        raw_count=len(omegas),
+        certified_count=int(certified.sum()),
+    )
+
+
+class _Pencil(NamedTuple):
+    """s^2 C + s Y + Gamma balanced by s = 2^k t and scaled by 2^d.
+
+    c, y and g are the node-basis parts 2^(2k+d) C, 2^(k+d) Y and 2^d Gamma,
+    so that 2^(k+d) L(2^k tau) = j tau c + y + g / (j tau) and the pencil in
+    t is t^2 c + t y + g.
+    """
+
+    c: np.ndarray
+    y: np.ndarray
+    g: np.ndarray
+    k: int
+    d: int
+
+
+def _balance(c: np.ndarray, y: np.ndarray, g: np.ndarray) -> _Pencil | None:
+    """Balanced parts of the pencil; None when C and Gamma are both zero."""
     nc, ny, ng = (float(np.abs(part).max()) for part in (c, y, g))
     ec, ey, eg = (math.frexp(v)[1] for v in (nc, ny, ng))
     if nc and ng:
@@ -208,40 +278,134 @@ def find_resonances(
     elif ng:
         k = eg - ey
     else:
-        return ResonanceReport((), (), DetectionMethod.PENCIL, 0, 0)
-    # s = 2^k t: coefficients 2^(2k) C, 2^k Y and Gamma, all times 2^d
+        return None
     d = -max(e for v, e in ((nc, ec + 2 * k), (ny, ey + k), (ng, eg)) if v)
-    q = _constant_complement(net.node_count)
-    a2, a1, a0 = (  # ldexp on the float view scales complex parts exactly
-        q.T @ np.ldexp(part.view(float), e).view(part.dtype) @ q
+    # ldexp on the float view scales complex parts exactly
+    c, y, g = (
+        np.ldexp(part.view(float), e).view(part.dtype)
         for part, e in ((c, 2 * k + d), (y, k + d), (g, d))
     )
+    return _Pencil(c, y, g, k, d)
+
+
+def _pencil_roots(
+    pencil: _Pencil, lo: float, hi: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Roots omega of the pencil in [lo, hi], ascending, with eigenvectors.
+
+    Returns the omegas and the (n, len(omegas)) node-basis vectors z = Q x,
+    x the bottom half of each root's right eigenvector of the companion
+    linearization [[-y, -g], [I, 0]] - t [[c, 0], [0, I]] projected onto the
+    complement Q of the constant vector.
+    """
+    q = _constant_complement(pencil.c.shape[0])
+    a2, a1, a0 = (q.T @ part @ q for part in pencil[:3])
     if not a1.imag.any():  # real QZ unless fixed impedances make Y complex
         a1 = a1.real
     m = q.shape[1]
     eye, zero = np.eye(m), np.zeros((m, m))
-    alpha, beta = scipy.linalg.eigvals(
+    (alpha, beta), v = scipy.linalg.eig(
         np.block([[-a1, -a0], [eye, zero]]), np.block([[a2, zero], [zero, eye]]),
-        overwrite_a=True, check_finite=False, homogeneous_eigvals=True,
+        right=True, overwrite_a=True, overwrite_b=True, check_finite=False,
+        homogeneous_eigvals=True,
     )
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = alpha / beta
-    t = t[np.isfinite(t) & (t.imag > 0)]
-    t = t[np.abs(t.real) <= math.sqrt(np.finfo(float).eps) * np.abs(t)]
-    omegas = np.ldexp(t.imag, k)
-    raw = sorted(float(w) for w in omegas[(omegas >= lo) & (omegas <= hi)])
-    kept = []
-    for w in _merge_sorted(raw):
-        r = two_point_impedance(net, w, 1, 2)
-        if r.status is ImpedanceStatus.RESONANT:
-            kept.append((w, math.sqrt(r.min_nontrivial_sigma)))
-    return ResonanceReport(
-        omegas=tuple(w for w, _ in kept),
-        residuals=tuple(s for _, s in kept),
-        method=DetectionMethod.PENCIL,
-        distinct_count=len(kept),
-        raw_count=len(raw),
+        omegas = np.ldexp(t.imag, pencil.k)
+        keep = (
+            np.isfinite(t) & (t.imag > 0)
+            & (np.abs(t.real) <= math.sqrt(_EPS) * np.abs(t))
+            & (omegas >= lo) & (omegas <= hi)
+        )
+    order = np.argsort(omegas[keep], kind="stable")
+    return omegas[keep][order], q @ v[m:, keep][:, order]
+
+
+def _gamma(m: int) -> float:
+    """Higham's gamma_m = m u / (1 - m u), u the unit roundoff."""
+    mu = m * _EPS / 2.0
+    return mu / (1.0 - mu)
+
+
+def _certify(
+    pencil: _Pencil, omegas: np.ndarray, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Prove from vectors z that L(omega) is RESONANT at each omega.
+
+    Column i of z goes with omegas[i].  Returns ||L z|| / ||z|| in siemens
+    and whether it certifies the verdict of two_point_impedance.
+
+    Derivation.  L = L(omega) is the Laplacian of the merged branch
+    admittances that the parts hold off the diagonal; assemble_laplacian's
+    matrix differs from it by the rounding of each branch admittance.  L is
+    complex symmetric with L 1 = 0, so with Q an orthonormal basis of the
+    complement of the constant vector 1, L = Q M Q^T with M = Q^T L Q, and
+    the nontrivial Takagi values |lambda| of L are the singular values of
+    M.  For any z with projection P z off the constant vector,
+    L z = L P z = Q M Q^T z, so
+
+        sigma_min(M) <= ||L z|| / ||P z||.                            (1)
+
+    z = Q x is orthogonal to 1 up to rounding, so ||P z|| = ||z|| to second
+    order in n^(3/2) u.  Everything runs in the pencil's power-of-two units,
+    where L is 2^(k+d) L(omega) = j tau c + y + g / (j tau) with
+    tau = 2^-k omega; the scaling is exact, and no norm squares an entry.
+
+    The computed defect D = y z + j (tau (c z) - (g z) / tau) differs from
+    the exact L z, componentwise, by at most
+
+        (2 gamma_(r+3) + gamma_(r-1)) (W |z|)                          (2)
+
+    where W = tau W_c + W_y + W_g / tau and each W_p is |p| with its
+    diagonal replaced by the row sums of |p| off the diagonal (the part
+    with no cancellation).  r is the largest number of nonzeros in a row of
+    the parts.  gamma_(r+3) bounds each real component of the dot products
+    (zero terms add no rounding, so r and not n counts), the products by
+    tau and 1/tau and the two sums that combine the parts; the factor 2
+    turns componentwise real bounds into a complex modulus (sqrt 2 twice).
+    gamma_(r-1) bounds each stamped diagonal, a sum of at most r - 1
+    entries, against the exact row sum.  W is used rather than |L| because
+    at a resonance the c and g terms cancel, and rounding follows the
+    terms.  The allowance a is the 2-norm of (2).
+
+    The scale is max_i (tau W_c + W_y + W_g / tau)_ii, the node sums of
+    admittance_scale: equal to it up to rounding for R, L and C branches,
+    and smaller when parallel fixed impedances cancel, which only makes the
+    test stricter.  The three norms are chains of n hypot calls (relative
+    error below 2 n u each), and the sums in W |z| and in the scale carry
+    at most gamma_r, so with the factor 1 + gamma_(4n+3r)
+
+        (||D|| + a) (1 + gamma_(4n+3r)) <= theta ||z||                 (3)
+
+    is sufficient for sigma_min(M) <= theta = SINGULAR_REL_TOL * scale.
+    """
+    c, y, g, k, d = pencil
+    n = z.shape[0]
+    r = int(((c != 0) | (y != 0) | (g != 0)).sum(axis=1).max())
+    tau = np.ldexp(omegas, -k)
+    defect = y @ z + 1j * (tau * (c @ z) - (g @ z) / tau)
+    w_c, w_y, w_g = (_uncancelled(part) for part in (c, y, g))
+    az = np.abs(z)
+    bound = tau * (w_c @ az) + w_y @ az + (w_g @ az) / tau
+    scale = np.max(
+        np.outer(np.diag(w_c), tau) + np.diag(w_y)[:, None]
+        + np.outer(np.diag(w_g), 1.0 / tau),
+        axis=0,
     )
+    rho, alpha, nu = (np.hypot.reduce(np.abs(v), axis=0) for v in (defect, bound, az))
+    allowance = (2.0 * _gamma(r + 3) + _gamma(r - 1)) * alpha
+    certified = (rho + allowance) * (1.0 + _gamma(4 * n + 3 * r)) <= (
+        SINGULAR_REL_TOL * scale * nu
+    )
+    return np.ldexp(rho / nu, -(k + d)), certified
+
+
+def _uncancelled(part: np.ndarray) -> np.ndarray:
+    """|part| with its diagonal replaced by the off-diagonal row sums."""
+    w = np.abs(part)
+    np.fill_diagonal(w, 0.0)
+    np.fill_diagonal(w, w.sum(axis=1))
+    return w
 
 
 def _merge_sorted(values: list[float]) -> list[float]:

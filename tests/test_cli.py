@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from impnet import SingularSystem, parse_netlist, serialize_netlist
+from impnet import (
+    Boundary, Element, SingularSystem, grid_network, grid_resonances_analytic,
+    parse_netlist, ring_network, serialize_netlist,
+)
 from impnet.cli import main
 from conftest import TRIANGLE_NETLIST, random_connected_network
 
@@ -69,8 +72,32 @@ def test_impedance_csv(capsys, triangle_path):
     ])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "omega,z_re,z_im,min_sigma,status"
+    assert lines[0] == "omega,z_re,z_im,min_abs_lambda,status"
     assert lines[1].endswith(",ok")
+
+
+@pytest.mark.parametrize("k", [1e170, 1e-170])
+def test_impedance_csv_min_abs_lambda_scales_with_units(capsys, tmp_path, k):
+    # The L-L-C ring with every impedance scaled by k, at the finite query
+    # omega = 0.3: |lambda| scales as 1/k, where |lambda|^2 would overflow
+    # (k = 1e-170) or underflow (k = 1e170).
+    def min_abs_lambda(scale):
+        p = tmp_path / "ring.net"
+        p.write_text(serialize_netlist(ring_network(3, [
+            Element.inductor(scale), Element.capacitor(1.0 / scale),
+            Element.inductor(scale),
+        ])))
+        assert main([
+            "impedance", str(p), "--pair", "1", "2", "--omega", "0.3",
+            "--format", "csv",
+        ]) == 0
+        header, row = capsys.readouterr().out.strip().splitlines()
+        assert header == "omega,z_re,z_im,min_abs_lambda,status"
+        return float(row.split(",")[3])
+
+    value = min_abs_lambda(k)
+    assert math.isfinite(value) and value > 0.0
+    assert abs(value * k / min_abs_lambda(1.0) - 1.0) <= 1e-12
 
 
 def test_impedance_resonant_exit_2(capsys, lc_path):
@@ -177,7 +204,7 @@ def test_sweep_csv_rows(capsys, lc_path):
     ])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "omega,z_re,z_im,min_sigma,status"
+    assert lines[0] == "omega,z_re,z_im,min_abs_lambda,status"
     assert len(lines) == 4
     # geomspace(0.5, 2, 3) hits exactly 1.0 in the middle: resonant there
     assert lines[2].endswith(",resonant")
@@ -212,6 +239,7 @@ def test_resonances_json(capsys, lc_path):
     assert doc["distinct_count"] == 1
     assert doc["omegas"][0] == pytest.approx(1.0, rel=1e-9)
     assert doc["method"] == "pencil"
+    assert doc["certified_count"] == 1
 
 
 def test_resonances_human(capsys, lc_path):
@@ -237,22 +265,44 @@ def test_resonances_none_found(capsys, tmp_path):
 
 
 def test_every_reported_resonance_makes_impedance_exit_2(capsys, tmp_path):
+    # Random LC networks (8 of 3-10 nodes with values in 1e+-1, 80 of 3-20
+    # nodes with values in 1e+-2) over [0.01, 100], and free and toroidal
+    # L = C = 1 grids 6x6-12x12 from 0.8x their lowest to 1.2x their highest
+    # closed-form resonance.  Most of these omegas are decided by the
+    # pencil's eigenvector certificate, not by an impedance query.
     rng = np.random.default_rng(31)
-    total = 0
-    for k in range(8):
-        p = tmp_path / f"lc{k}.net"
-        p.write_text(serialize_netlist(random_connected_network(rng, 3, 10, kinds="LC")))
+    searches = [
+        (random_connected_network(rng, 3, 10, kinds="LC"), 0.01, 100.0)
+        for _ in range(8)
+    ]
+    rng = np.random.default_rng(2024)
+    searches += [
+        (random_connected_network(rng, 3, 20, kinds="LC", decades=2.0), 0.01, 100.0)
+        for _ in range(80)
+    ]
+    for boundary in Boundary:
+        for m in range(6, 13):
+            ws = grid_resonances_analytic(m, m, 1.0, 1.0, boundary).omegas
+            searches.append(
+                (grid_network(m, m, 1.0, 1.0, boundary), 0.8 * ws[0], 1.2 * ws[-1])
+            )
+    total = certified = 0
+    for k, (net, lo, hi) in enumerate(searches):
+        p = tmp_path / f"net{k}.net"
+        p.write_text(serialize_netlist(net))
         assert main([
-            "resonances", str(p), "--omega-lo", "0.01", "--omega-hi", "100",
+            "resonances", str(p), "--omega-lo", repr(lo), "--omega-hi", repr(hi),
             "--format", "json",
         ]) == 0
-        omegas = json.loads(capsys.readouterr().out)["omegas"]
-        total += len(omegas)
-        for w in omegas:
+        doc = json.loads(capsys.readouterr().out)
+        total += len(doc["omegas"])
+        certified += doc["certified_count"]
+        for w in doc["omegas"]:
             argv = ["impedance", str(p), "--pair", "1", "2", "--omega", repr(w)]
             assert main(argv) == 2, (k, w)
         capsys.readouterr()
-    assert total >= 8
+    assert total >= 700
+    print(f"{total} reported resonances, {certified} certified by eigenvector")
 
 
 @pytest.mark.parametrize("netlist", [

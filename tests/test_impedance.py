@@ -215,7 +215,7 @@ def test_resonant_ring_reports_divergence():
     assert r.status is ImpedanceStatus.RESONANT
     assert r.resonant_mode_count == 1
     assert r.divergent_coefficient > 0.0
-    assert r.min_nontrivial_sigma <= 1e-10
+    assert r.min_nontrivial_abs_lambda <= 1e-5
 
 
 def test_near_resonance_flag():

@@ -17,10 +17,12 @@ from impnet import (
     find_resonances,
     grid_network,
     grid_resonances_analytic,
+    laplacian_parts,
     ring_network,
     ring_reactance_resonance_check,
     two_point_impedance,
 )
+from impnet import resonance
 from conftest import lc_parallel
 
 # ── closed-form grid frequencies ─────────────────────────────────────────
@@ -157,6 +159,62 @@ def test_pencil_ring_with_fixed_reactance():
         Element.inductor(1.0), Element.capacitor(1.0), Element.impedance(1 + 1j),
     ])
     assert find_resonances(lossy, 0.1, 10.0).omegas == ()
+
+
+# ── eigenvector certificate ──────────────────────────────────────────────
+
+def test_certificate_refuses_detuned_roots():
+    # Each root of the 8x8 free grid is certified at its own omega by its
+    # own eigenvector, and refused by the same vector at omega (1 +- 1e-6).
+    net = grid_network(8, 8, 1.0, 1.0)
+    pencil = resonance._balance(*laplacian_parts(net))
+    omegas, z = resonance._pencil_roots(pencil, 0.1, 10.0)
+    assert omegas.size >= 43
+    assert resonance._certify(pencil, omegas, z)[1].all()
+    for factor in (1.0 - 1e-6, 1.0 + 1e-6):
+        residuals, certified = resonance._certify(pencil, omegas * factor, z)
+        assert not certified.any()
+        assert (residuals > 0.0).all()
+
+
+@pytest.mark.parametrize("net,lo,hi", [
+    (grid_network(8, 8, 1.0, 1.0), 0.15, 2.5),
+    (ring_network(3, [
+        Element.inductor(1.0), Element.capacitor(1.0), Element.inductor(1.0),
+    ]), 0.1, 10.0),
+], ids=["grid8x8", "ring-LLC"])
+def test_fallback_confirms_the_same_roots(monkeypatch, net, lo, hi):
+    certified = find_resonances(net, lo, hi)
+    assert certified.certified_count == certified.distinct_count > 0
+
+    def refuse(pencil, omegas, z):
+        return np.zeros(omegas.size), np.zeros(omegas.size, dtype=bool)
+
+    monkeypatch.setattr(resonance, "_certify", refuse)
+    fallback = find_resonances(net, lo, hi)
+    assert fallback.omegas == certified.omegas
+    assert fallback.certified_count == 0
+    assert fallback.residuals == tuple(
+        two_point_impedance(net, w, 1, 2).min_nontrivial_abs_lambda
+        for w in fallback.omegas
+    )
+
+
+@pytest.mark.parametrize("m", [8, 12])
+def test_grid_search_makes_no_impedance_query(monkeypatch, m):
+    # Deterministic guard on the cost of a search: every root of the grid is
+    # certified by its eigenvector, so the O(n^3)-per-root fallback never runs.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return two_point_impedance(*args)
+
+    monkeypatch.setattr(resonance, "two_point_impedance", counting)
+    want = grid_resonances_analytic(m, m, 1.0, 1.0).omegas
+    rep = find_resonances(grid_network(m, m, 1.0, 1.0), 0.8 * want[0], 1.2 * want[-1])
+    assert calls == []
+    assert rep.certified_count == rep.distinct_count == len(want)
 
 
 def test_sweep_validation():
