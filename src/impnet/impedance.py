@@ -9,7 +9,9 @@ square, not a squared magnitude; the gauge factor e^{2 i tau} cancels between
 numerator and denominator.  Modes classified as zero are excluded: the
 trivial constant mode never contributes (its components cancel in the
 difference), and any further zero mode marks an LC resonance where the
-impedance diverges.
+impedance diverges.  The sum reads only rows p and q of the u_a, so a single
+query takes them from takagi_rows and only the all-pairs table runs the full
+takagi_decompose.
 """
 
 from __future__ import annotations
@@ -23,7 +25,13 @@ import numpy as np
 
 from .laplacian import admittance_scale, assemble_laplacian, check_angular_frequency
 from .network import Network, check_pair
-from .takagi import TakagiDecomposition, classify_zero_modes, takagi_decompose
+from .takagi import (
+    TakagiDecomposition,
+    TakagiRows,
+    classify_zero_modes,
+    takagi_decompose,
+    takagi_rows,
+)
 
 # A finite result is flagged near_resonance when its smallest nontrivial
 # |lambda| is at or below this fraction of the largest: a conditioning
@@ -83,7 +91,8 @@ def two_point_impedance(
     """
     w = check_angular_frequency(omega)
     check_pair(net, p, q)
-    return _pair_result(_decompose(net, w), w, p, q)
+    dec = takagi_rows(assemble_laplacian(net, w), p - 1, q - 1)
+    return _pair_result(_spectrum(dec, dec.rows, net, w), w, 0, 1)
 
 
 def impedance_matrix(net: Network, omega: float) -> list[list[ImpedanceResult]]:
@@ -94,7 +103,8 @@ def impedance_matrix(net: Network, omega: float) -> list[list[ImpedanceResult]]:
     """
     w = check_angular_frequency(omega)
     n = net.node_count
-    spec = _decompose(net, w)
+    dec = takagi_decompose(assemble_laplacian(net, w))
+    spec = _spectrum(dec, dec.u, net, w)
     table: list[list[ImpedanceResult | None]] = [[None] * n for _ in range(n)]
     for p in range(1, n + 1):
         table[p - 1][p - 1] = ImpedanceResult(
@@ -107,7 +117,7 @@ def impedance_matrix(net: Network, omega: float) -> list[list[ImpedanceResult]]:
             near_resonance=False,
         )
         for q in range(p + 1, n + 1):
-            r = _pair_result(spec, w, p, q)
+            r = _pair_result(spec, w, p - 1, q - 1)
             table[p - 1][q - 1] = r
             table[q - 1][p - 1] = r
     return table  # type: ignore[return-value]
@@ -116,15 +126,17 @@ def impedance_matrix(net: Network, omega: float) -> list[list[ImpedanceResult]]:
 class _Spectrum(NamedTuple):
     """Pair-independent part of an impedance query."""
 
-    dec: TakagiDecomposition
+    u: np.ndarray  # rows of the factorization vectors, one per node read
+    lam: np.ndarray
     retained: np.ndarray  # mask of the modes summed (nonzero lambda)
     resonant: np.ndarray  # indices of the nontrivial zero modes
     min_abs: float  # smallest |lambda| outside the trivial mode
     near_resonance: bool
 
 
-def _decompose(net: Network, omega: float) -> _Spectrum:
-    dec = takagi_decompose(assemble_laplacian(net, omega))
+def _spectrum(
+    dec: TakagiDecomposition | TakagiRows, u: np.ndarray, net: Network, omega: float
+) -> _Spectrum:
     cls = classify_zero_modes(dec, admittance_scale(net, omega))
     retained = np.ones(dec.order, dtype=bool)
     retained[list(cls.zero_indices)] = False
@@ -135,7 +147,8 @@ def _decompose(net: Network, omega: float) -> _Spectrum:
     others = np.delete(mags, cls.trivial_index)
     min_abs = float(others.min()) if others.size else 0.0
     return _Spectrum(
-        dec,
+        u,
+        dec.lam,
         retained,
         resonant,
         min_abs,
@@ -143,10 +156,10 @@ def _decompose(net: Network, omega: float) -> _Spectrum:
     )
 
 
-def _pair_result(spec: _Spectrum, omega: float, p: int, q: int) -> ImpedanceResult:
-    dec = spec.dec
-    diffs2 = (dec.u[p - 1, :] - dec.u[q - 1, :]) ** 2
-    value = complex(np.sum(diffs2[spec.retained] / dec.lam[spec.retained]))
+def _pair_result(spec: _Spectrum, omega: float, i: int, j: int) -> ImpedanceResult:
+    """The result for rows i and j of spec.u."""
+    diffs2 = (spec.u[i, :] - spec.u[j, :]) ** 2
+    value = complex(np.sum(diffs2[spec.retained] / spec.lam[spec.retained]))
     if spec.resonant.size:
         return ImpedanceResult(
             status=ImpedanceStatus.RESONANT,

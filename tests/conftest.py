@@ -1,8 +1,15 @@
 """Shared fixtures and oracle helpers for the test suite."""
 
 import math
+import os
 
-import numpy as np
+# One BLAS thread, set before numpy loads its BLAS: the suite's eigensolves
+# are small, and on a 2-core host two BLAS threads ran it in 17 s against
+# 9 s for one.  A value already in the environment wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from impnet import Branch, Element, Network, ring_network

@@ -13,13 +13,18 @@ from impnet import (
     InvalidNodeError,
     Network,
     SingularSystem,
+    admittance_scale,
     assemble_laplacian,
+    classify_zero_modes,
+    grid_network,
+    grid_resonances_analytic,
     impedance_matrix,
     ring_network,
     solve_direct,
     takagi_decompose,
     two_point_impedance,
 )
+from impnet import impedance, takagi
 from conftest import (
     SQRT3,
     lc_parallel,
@@ -177,6 +182,36 @@ def test_matrix_agrees_with_single_queries(triangle):
             assert table[p - 1][q - 1] is table[q - 1][p - 1]
 
 
+def _assert_table_matches_queries(net, omega, pairs):
+    # The table back-transforms every mode and a single query reads two
+    # rows of the same eigensolve.  A value is compared against
+    # sum_a |u_ap - u_aq|^2 / |lambda_a|, which is |Z| unless the mode sum
+    # cancels: between opposite corners of the 8x8 grid at (1 +- 1e-6)
+    # times its 7-fold resonance, |Z| = 7e-6 and the sum is 3.8.  A pair
+    # that does not couple to the resonant modes has a
+    # divergent_coefficient of rounding noise, ~1e-30.
+    table = impedance_matrix(net, omega)
+    dec = takagi_decompose(assemble_laplacian(net, omega))
+    cls = classify_zero_modes(dec, admittance_scale(net, omega))
+    mags = np.abs(dec.lam)
+    mags[list(cls.zero_indices)] = np.inf
+    statuses = set()
+    for p, q in pairs:
+        t = table[p - 1][q - 1]
+        s = two_point_impedance(net, omega, p, q)
+        assert s.status is t.status, (omega, p, q)
+        assert s.resonant_mode_count == t.resonant_mode_count, (omega, p, q)
+        if t.status is ImpedanceStatus.FINITE:
+            terms = np.sum(np.abs(dec.u[p - 1] - dec.u[q - 1]) ** 2 / mags)
+            assert abs(s.value - t.value) <= 1e-12 * terms, (omega, p, q)
+        else:
+            assert s.divergent_coefficient == pytest.approx(
+                t.divergent_coefficient, rel=1e-9, abs=1e-20
+            ), (omega, p, q)
+        statuses.add(t.status)
+    return statuses
+
+
 def test_matrix_on_random_network():
     rng = np.random.default_rng(13)
     net = random_connected_network(rng, 4, 7)
@@ -187,6 +222,71 @@ def test_matrix_on_random_network():
         for q in range(p + 1, n + 1):
             single = two_point_impedance(net, omega, p, q)
             assert abs(table[p - 1][q - 1].value - single.value) <= 1e-12
+
+    cases = [
+        (random_connected_network(rng, n, n), float(10.0 ** rng.uniform(-1, 1)))
+        for n in (6, 30, 120) for _ in range(2)
+    ]
+    cases += [
+        (random_connected_network(rng, 30, 30, kinds="R", decades=3.0), 1.0)
+        for _ in range(4)
+    ]
+    for net, omega in cases:
+        n = net.node_count
+        pairs = {(1, n)} | {
+            tuple(sorted(int(a) for a in rng.choice(n, 2, replace=False) + 1))
+            for _ in range(5)
+        }
+        _assert_table_matches_queries(net, omega, sorted(pairs))
+
+    grid = grid_network(8, 8, 1.0, 1.0)
+    statuses = set()
+    for omega in grid_resonances_analytic(8, 8, 1.0, 1.0).omegas:
+        for w in (omega, omega * (1.0 + 1e-6), omega * (1.0 - 1e-6)):
+            statuses |= _assert_table_matches_queries(
+                grid, w, [(1, 64), (1, 2), (10, 37)]
+            )
+    assert statuses == {ImpedanceStatus.FINITE, ImpedanceStatus.RESONANT}
+
+
+@pytest.mark.parametrize("case", ["grid10x10", "grid10x10-resonant", "rlcz120"])
+def test_pair_query_back_transforms_two_rows(monkeypatch, case):
+    # Deterministic guard on the cost of a pair query: no full
+    # decomposition, and Q applied to the six selector columns and the 2k
+    # zero-pair columns only.  A count, not a timing.
+    if case == "rlcz120":
+        net = random_connected_network(np.random.default_rng(120), 120, 120)
+        omega = 1.3
+    else:
+        net = grid_network(10, 10, 1.0, 1.0)
+        omega = 1.0 if case.endswith("resonant") else 0.7
+    decompositions, columns, rows = [], [], []
+
+    def counting_decompose(*args):
+        decompositions.append(args)
+        return takagi.takagi_decompose(*args)
+
+    def counting_apply_q(t, c, trans):
+        columns.append(c.shape[1])
+        return apply_q(t, c, trans)
+
+    def recording_rows(*args):
+        rows.append(takagi.takagi_rows(*args))
+        return rows[-1]
+
+    apply_q = takagi._apply_q
+    monkeypatch.setattr(impedance, "takagi_decompose", counting_decompose)
+    monkeypatch.setattr(impedance, "takagi_rows", recording_rows)
+    monkeypatch.setattr(takagi, "_apply_q", counting_apply_q)
+    r = two_point_impedance(net, omega, 1, net.node_count)
+    assert decompositions == []
+    (dec,) = rows
+    k = int(np.count_nonzero(dec.lam == 0.0))
+    assert sum(columns) <= 2 * k + 6
+    if case.endswith("resonant"):
+        assert r.status is ImpedanceStatus.RESONANT and k > 2
+    lap = assemble_laplacian(net, omega)
+    assert dec.residual <= 1e-14 * np.linalg.norm(lap, 2)
 
 
 # ── resonance reporting ──────────────────────────────────────────────────

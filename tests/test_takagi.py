@@ -202,8 +202,9 @@ def test_not_symmetric_rejected():
 
 
 def test_non_square_rejected():
-    with pytest.raises(ValidationError):
-        takagi_decompose(np.zeros((2, 3), dtype=complex))
+    for shape in [(2, 3), (0, 0)]:
+        with pytest.raises(ValidationError):
+            takagi_decompose(np.zeros(shape, dtype=complex))
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
