@@ -30,7 +30,11 @@ from .impedance import (
     NEAR_RESONANCE_REL, ImpedanceResult, ImpedanceStatus, impedance_matrix,
     two_point_impedance,
 )
-from .network import Boundary, Element, grid_network, parse_netlist, ring_network, serialize_netlist
+from .laplacian import check_angular_frequency
+from .network import (
+    Boundary, Element, check_pair, grid_network, parse_netlist, ring_network,
+    serialize_netlist,
+)
 from .resonance import find_resonances
 
 EXIT_OK = 0
@@ -211,14 +215,17 @@ def _cmd_sweep(args) -> int:
 
     net = _load_network(args.netlist)
     p, q = args.pair
-    if not (0 < args.omega_lo < args.omega_hi):
-        print("impnet: error: need 0 < --omega-lo < --omega-hi", file=sys.stderr)
+    check_pair(net, p, q)
+    lo = check_angular_frequency(args.omega_lo)
+    hi = check_angular_frequency(args.omega_hi)
+    if not lo < hi:
+        print("impnet: error: need --omega-lo < --omega-hi", file=sys.stderr)
         return EXIT_INPUT_ERROR
     if args.points < 2:
         print("impnet: error: need at least 2 sweep points", file=sys.stderr)
         return EXIT_INPUT_ERROR
     print("omega,z_re,z_im,min_abs_lambda,status")
-    for w in np.geomspace(args.omega_lo, args.omega_hi, args.points):
+    for w in np.geomspace(lo, hi, args.points):
         r = two_point_impedance(net, float(w), p, q)
         print(_csv_row(r))
     return EXIT_OK

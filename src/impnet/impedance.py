@@ -9,9 +9,12 @@ square, not a squared magnitude; the gauge factor e^{2 i tau} cancels between
 numerator and denominator.  Modes classified as zero are excluded: the
 trivial constant mode never contributes (its components cancel in the
 difference), and any further zero mode marks an LC resonance where the
-impedance diverges.  The sum reads only rows p and q of the u_a, so a single
-query takes them from takagi_rows and only the all-pairs table runs the full
-takagi_decompose.
+impedance diverges with strength ||P0 (e_p - e_q)||^2, the squared norm of
+the projection of e_p - e_q onto the zero space: the sum of |u_ap - u_aq|^2
+over the zero columns, which does not depend on the basis a degenerate
+resonance leaves free.  The sums read only rows p and q of the u_a, so a
+single query takes them from takagi_rows and only the all-pairs table runs
+the full takagi_decompose.
 """
 
 from __future__ import annotations
@@ -53,9 +56,10 @@ class ImpedanceResult:
     direct route applies to its pivots.  value holds the mode sum over
     retained (nonzero) modes; when RESONANT it is only the finite principal
     part and the physical impedance diverges with strength
-    divergent_coefficient, the largest |(u_ap - u_aq)^2| over the nontrivial
-    zero modes.  min_nontrivial_abs_lambda is the smallest |lambda| (in
-    siemens) outside the trivial mode; near_resonance flags a finite
+    divergent_coefficient = ||P0 (e_p - e_q)||^2, where P0 projects onto the
+    zero modes: the sum of |u_ap - u_aq|^2 over them, the same for any
+    basis of the zero space.  min_nontrivial_abs_lambda is the smallest
+    |lambda| (in siemens) outside the trivial mode; near_resonance flags a finite
     result whose smallest nontrivial |lambda| is within NEAR_RESONANCE_REL
     (about 3.2e-5) of the largest, where the mode sum is poorly conditioned.
     """
@@ -129,7 +133,7 @@ class _Spectrum(NamedTuple):
     u: np.ndarray  # rows of the factorization vectors, one per node read
     lam: np.ndarray
     retained: np.ndarray  # mask of the modes summed (nonzero lambda)
-    resonant: np.ndarray  # indices of the nontrivial zero modes
+    resonant: int  # dimension of the zero space past the trivial mode
     min_abs: float  # smallest |lambda| outside the trivial mode
     near_resonance: bool
 
@@ -138,19 +142,17 @@ def _spectrum(
     dec: TakagiDecomposition | TakagiRows, u: np.ndarray, net: Network, omega: float
 ) -> _Spectrum:
     cls = classify_zero_modes(dec, admittance_scale(net, omega))
-    retained = np.ones(dec.order, dtype=bool)
+    retained = np.ones(dec.lam.size, dtype=bool)
     retained[list(cls.zero_indices)] = False
-    resonant = np.array(
-        [a for a in cls.zero_indices if a != cls.trivial_index], dtype=int
-    )
     mags = np.abs(dec.lam)
-    others = np.delete(mags, cls.trivial_index)
-    min_abs = float(others.min()) if others.size else 0.0
+    # ascending: the trivial mode and a frame's redundant columns come first
+    others = mags[mags.size - dec.order + 1:]
+    min_abs = float(others[0]) if others.size else 0.0
     return _Spectrum(
         u,
         dec.lam,
         retained,
-        resonant,
+        cls.nontrivial_zero_count,
         min_abs,
         min_abs <= NEAR_RESONANCE_REL * float(mags.max()),
     )
@@ -158,15 +160,17 @@ def _spectrum(
 
 def _pair_result(spec: _Spectrum, omega: float, i: int, j: int) -> ImpedanceResult:
     """The result for rows i and j of spec.u."""
-    diffs2 = (spec.u[i, :] - spec.u[j, :]) ** 2
-    value = complex(np.sum(diffs2[spec.retained] / spec.lam[spec.retained]))
-    if spec.resonant.size:
+    diffs = spec.u[i, :] - spec.u[j, :]
+    value = complex(np.sum(diffs[spec.retained] ** 2 / spec.lam[spec.retained]))
+    if spec.resonant:
         return ImpedanceResult(
             status=ImpedanceStatus.RESONANT,
             value=value,
             omega=omega,
-            resonant_mode_count=int(spec.resonant.size),
-            divergent_coefficient=float(np.abs(diffs2[spec.resonant]).max()),
+            resonant_mode_count=spec.resonant,
+            divergent_coefficient=float(
+                np.sum(np.abs(diffs[~spec.retained]) ** 2)
+            ),
             min_nontrivial_abs_lambda=spec.min_abs,
             near_resonance=False,
         )

@@ -15,21 +15,26 @@ H = [[A, -B], [-B, -A]].  Its spectrum is +-|lambda_a|, each pair linked by
 every negative one, which makes the n positive eigenvectors
 complex-orthonormal factorization vectors, so one real eigensolve yields
 every mode with nonzero lambda, degenerate or not.  Only the numerically
-zero eigenspace holds both members of a pair; its complex vectors are
-orthonormalized separately.
+zero eigenspace holds both members of a pair: its 2k real eigenvectors,
+taken as (x + iy)/sqrt(2), are a tight frame of the k-dimensional zero
+space of L.
+
+At a degenerate zero only that space is defined, not a basis of it, so
+everything read from the zero modes is a projection onto it, P0: the sum
+of |.|^2 over the zero columns, which is the same over any orthonormal
+basis or tight frame.  A pair couples to the zero space with strength
+||P0 (e_p - e_q)||^2, and a Laplacian's zero space holds its trivial mode
+when ||P0 1|| / sqrt(n) >= 0.99.
 
 The eigensolve is LAPACK's, taken in its three steps: dsytrd reduces H to a
 tridiagonal T = Q^T H Q, dstevd (divide and conquer) solves T z = w z, and
 dormqr back-transforms v = Q z.  takagi_decompose back-transforms every
-mode it returns and canonicalizes the gauge by rotating the largest
-component of every u_a onto the positive real axis.  takagi_rows serves a
-pair query, which reads only rows p and q of the u_a and their column sums:
-it applies Q^T to the six vectors that select them, projects those onto the
-z, and back-transforms in full only the zero-pair columns, O(n^2) in all
-where the full back-transform is O(n^3).  Both routes build the zero modes
-by one construction and classify them by one rule; only takagi_decompose
-then makes its zero block complex-orthogonal to the live modes, which the
-unitary u it returns needs and a pair query does not.
+mode, orthonormalizes the zero block to return a unitary u, and
+canonicalizes the gauge by rotating the largest component of every u_a
+onto the positive real axis.  takagi_rows serves a pair query, which reads
+only rows p and q of the modes and their column sums: it applies Q^T to the
+six vectors that select them and projects those onto the z, zero frame
+included, in O(n^2) where the full back-transform is O(n^3).
 """
 
 from __future__ import annotations
@@ -89,22 +94,24 @@ class TakagiDecomposition:
 class TakagiRows:
     """Result of takagi_rows: what a pair query reads of the factorization.
 
-    The modes are those of takagi_decompose, ascending in |lam|, in the
-    eigensolver's gauge: lam is real and nonnegative.
+    The n + k columns, ascending in |lam| and in the eigensolver's gauge
+    (lam real and nonnegative), are the 2k columns (x + iy)/sqrt(2) of the
+    zero pairs, a tight frame of the k-dimensional zero space with lam = 0,
+    followed by the n - k live modes of takagi_decompose.
 
     Attributes
     ----------
     order : int
         Matrix dimension n.
     rows : numpy.ndarray
-        (2, n) complex; rows[0, a] = u_ap and rows[1, a] = u_aq.
+        (2, n + k) complex; rows[0, a] = u_ap and rows[1, a] = u_aq.
     col_sums : numpy.ndarray
-        (n,) complex sums sum_i u_ai.
+        (n + k,) complex sums sum_i u_ai.
     lam : numpy.ndarray
-        (n,) factorization values, zero on the zero pairs.
+        (n + k,) factorization values, zero on the frame columns.
     residual : float
         max_j of the 2-norm of T z_j - w_j z_j over the tridiagonal
-        eigenvectors of the modes, equal to the residual of H v_j up to
+        eigenvectors of the columns, equal to the residual of H v_j up to
         the rounding of the orthogonal Q.
     """
 
@@ -117,12 +124,12 @@ class TakagiRows:
 
 @dataclass(frozen=True)
 class ZeroModeClassification:
-    """Zero modes of a Laplacian decomposition, split into the one trivial
-    (constant-vector) mode and the nontrivial remainder.  threshold is the
-    |lambda| at or below which a mode counts as zero."""
+    """Zero modes of a Laplacian decomposition.  zero_indices are the
+    columns with |lambda| <= threshold; they span the zero space, which
+    holds the trivial (constant-vector) mode and nontrivial_zero_count
+    further dimensions, each a resonance indicator."""
 
     zero_indices: tuple[int, ...]
-    trivial_index: int
     nontrivial_zero_count: int
     threshold: float
 
@@ -165,20 +172,18 @@ def takagi_decompose(l: np.ndarray) -> TakagiDecomposition:
     n = l.shape[0]
     t = _tridiagonal_eig(l)
     k = t.k
-    v = _apply_q(t, t.z[:, n + k:], "N")
-    live = v[:n] + 1j * v[n:]
-    zero = _zero_modes(t)
+    v = _apply_q(t, t.z[:, n - k:], "N")
+    zero, live = np.split(v[:n] + 1j * v[n:], [2 * k], axis=1)
     if k:
-        # The zero pairs are real-orthogonal to every live eigenvector but
-        # complex-orthogonal to the live modes only to about eps ||H|| / gap,
-        # which reaches 1e-7 when a live |lambda| sits near the zero floor
-        # (resistances spanning 1e+-5).  u must be unitary: project, then
-        # take the nearest orthonormal block, which moves each vector by
-        # that much and no more.
-        a, _, bh = np.linalg.svd(
+        # The 2k zero pairs span the zero space twice over.  They are
+        # real-orthogonal to every live eigenvector but complex-orthogonal
+        # to the live modes only to about eps ||H|| / gap, which reaches
+        # 1e-7 when a live |lambda| sits near the zero floor (resistances
+        # spanning 1e+-5).  u must be unitary: project, then keep k
+        # orthonormal directions of what remains.
+        zero = np.linalg.svd(
             zero - live @ (live.conj().T @ zero), full_matrices=False
-        )
-        zero = a @ bh
+        )[0][:, :k]
     u = np.concatenate([zero, live], axis=1)
     lam = np.zeros(n, dtype=complex)
     lam[k:] = t.w[n + k:]
@@ -210,12 +215,9 @@ def takagi_rows(l: np.ndarray, p: int, q: int) -> TakagiRows:
 
     Each mode is v = Q z with u = v[:n] + i v[n:], so u_ap = (Q^T e_p)^T z
     + i (Q^T e_{n+p})^T z, and the column sum is the same with the constant
-    functionals [1; 0] and [0; 1] in place of e_p and e_{n+p}.  Only the
-    zero pairs, which need the full vectors to be orthonormalized and
-    oriented, are back-transformed column by column.  The zero modes are
-    those of takagi_decompose before its projection off the live modes, so
-    they agree with it to about eps ||H|| / gap.  Accepts the input
-    takagi_decompose accepts.
+    functionals [1; 0] and [0; 1] in place of e_p and e_{n+p}.  The zero
+    space is read through the tight frame of its 2k pair vectors, so no
+    vector is back-transformed.  Accepts the input takagi_decompose accepts.
     """
     l = _check_symmetric(l)
     n = l.shape[0]
@@ -226,14 +228,11 @@ def takagi_rows(l: np.ndarray, p: int, q: int) -> TakagiRows:
     f[[p, q, n + p, n + q], [0, 1, 3, 4]] = 1.0
     f[:n, 2] = 1.0
     f[n:, 5] = 1.0
-    g = _apply_q(t, f, "T").T @ t.z[:, n + k:]
-    zero = _zero_modes(t)
-    modes = np.concatenate(
-        [np.stack([zero[p], zero[q], zero.sum(axis=0)]), g[:3] + 1j * g[3:]],
-        axis=1,
-    )
-    lam = np.zeros(n)
-    lam[k:] = t.w[n + k:]
+    g = _apply_q(t, f, "T").T @ t.z[:, n - k:]
+    modes = g[:3] + 1j * g[3:]
+    modes[:, :2 * k] /= math.sqrt(2.0)
+    lam = np.zeros(n + k)
+    lam[2 * k:] = t.w[n + k:]
     return TakagiRows(
         order=n,
         rows=modes[:2],
@@ -299,22 +298,6 @@ def _check_info(routine: str, info: int) -> None:
         raise ConvergenceError(f"LAPACK {routine} failed (info={info})")
 
 
-def _zero_modes(t: _Tridiagonal) -> np.ndarray:
-    """(n, k) orthonormal factorization vectors with lambda = 0, from the
-    2k zero-pair eigenvectors of H, oriented by _orient_zero_cluster.
-
-    The basis of a cluster with k > 2 is fixed by rounding alone, so both
-    routes compute it by this one call on the same input and get the same
-    vectors.
-    """
-    n, k = t.w.size // 2, t.k
-    if not k:
-        return np.empty((n, 0), dtype=complex)
-    v = _apply_q(t, t.z[:, n - k:n + k], "N")
-    q = np.linalg.svd(v[:n] + 1j * v[n:], full_matrices=False)[0][:, :k]
-    return _orient_zero_cluster(q)
-
-
 def _tridiagonal_residual(t: _Tridiagonal, first: int) -> float:
     """max_j ||T z_j - w_j z_j|| over the columns j >= first, computed in
     units of max(|d|, |e|) so that no square overflows or underflows."""
@@ -329,61 +312,41 @@ def _tridiagonal_residual(t: _Tridiagonal, first: int) -> float:
     return s * float(np.linalg.norm(r, axis=0).max())
 
 
-def _orient_zero_cluster(block: np.ndarray) -> np.ndarray:
-    """Deterministic basis of a numerically-zero cluster.
-
-    Any rotation of a zero cluster satisfies the defining relation with
-    lambda = 0, so the basis is free; when the constant direction lies in the
-    span (as it does for every connected-network Laplacian) the first basis
-    vector is rotated onto it so downstream classification sees the trivial
-    mode as a single column.
-    """
-    n, k = block.shape
-    const = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
-    coeff = block.conj().T @ const
-    cn = float(np.linalg.norm(coeff))
-    if cn < 1e-8:
-        return block
-    first = coeff / cn
-    basis = np.concatenate([first[:, np.newaxis], np.eye(k, dtype=complex)], axis=1)
-    q, _ = np.linalg.qr(basis)
-    d = np.vdot(q[:, 0], first)
-    q[:, 0] *= d / abs(d)
-    return block @ q
-
-
 def classify_zero_modes(
     d: TakagiDecomposition | TakagiRows, scale: float
 ) -> ZeroModeClassification:
-    """Split the zero modes of a Laplacian decomposition.
+    """Find the zero modes of a Laplacian decomposition and count the
+    nontrivial ones.
 
     Zero modes are entries with |lambda| <= SINGULAR_REL_TOL * scale, where
     scale is the network's admittance_scale: the rule the direct route
     applies to its LU pivots.  It does not depend on max|lambda|, so a wide
     spread of element values cannot turn a small live mode into a zero, and
-    a Laplacian that cancels completely has only zero modes.  Exactly one
-    of them must align with the constant vector (the trivial mode every
-    connected network has); any further zero modes are resonance
-    indicators.  Raises NoTrivialZeroError when no zero mode overlaps the
-    constant vector by at least 0.99, which signals input that is not a
-    connected-network Laplacian.  Reads only |lambda| and the column sums,
-    so a full decomposition and a pair query's rows classify alike.
+    a Laplacian that cancels completely has only zero modes.  Their span,
+    the zero space, must hold the constant vector (the trivial mode every
+    connected network has): ||P0 1|| / sqrt(n) >= 0.99, the norm of the
+    column sums over the zero columns, which is the same for any
+    orthonormal basis or tight frame of that space.  Raises
+    NoTrivialZeroError otherwise, which signals input that is not a
+    connected-network Laplacian.  The nontrivial zero count is the
+    dimension of the zero space less one: the zero columns less the
+    columns beyond the order (a tight frame's redundant ones) less the
+    trivial mode.  Reads only |lambda| and the column sums, so a full
+    decomposition and a pair query's rows classify alike.
     """
     mags = np.abs(d.lam)
     threshold = SINGULAR_REL_TOL * float(scale)
     zero = np.flatnonzero(mags <= threshold)
     if not zero.size:
         raise NoTrivialZeroError("no zero mode present")
-    overlaps = np.abs(d.col_sums[zero]) / math.sqrt(d.order)
-    best = int(np.argmax(overlaps))
-    if overlaps[best] < 0.99:
+    overlap = float(np.linalg.norm(d.col_sums[zero])) / math.sqrt(d.order)
+    if overlap < 0.99:
         raise NoTrivialZeroError(
-            "no zero mode aligns with the constant vector "
-            f"(best overlap {overlaps[best]:.3g})"
+            "the zero modes do not hold the constant vector "
+            f"(overlap {overlap:.3g})"
         )
     return ZeroModeClassification(
         zero_indices=tuple(int(a) for a in zero),
-        trivial_index=int(zero[best]),
-        nontrivial_zero_count=int(zero.size) - 1,
+        nontrivial_zero_count=int(zero.size) - (mags.size - d.order) - 1,
         threshold=threshold,
     )

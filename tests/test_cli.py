@@ -183,6 +183,11 @@ def test_huge_resistances_stay_finite(capsys, tmp_path):
 
 def test_invalid_pair_value(triangle_path, capsys):
     assert main(["impedance", triangle_path, "--pair", "1", "9", "--omega", "1"]) == 1
+    assert main([
+        "sweep", triangle_path, "--pair", "1", "9",
+        "--omega-lo", "1", "--omega-hi", "2", "--points", "3",
+    ]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_determinism(capsys, triangle_path):
@@ -213,10 +218,13 @@ def test_sweep_csv_rows(capsys, lc_path):
 
 
 def test_sweep_rejects_bad_range(capsys, lc_path):
-    assert main([
-        "sweep", lc_path, "--pair", "1", "2",
-        "--omega-lo", "2.0", "--omega-hi", "0.5", "--points", "3",
-    ]) == 1
+    # rejected before the CSV header is printed
+    for lo, hi in [("2.0", "0.5"), ("1", "inf")]:
+        assert main([
+            "sweep", lc_path, "--pair", "1", "2",
+            "--omega-lo", lo, "--omega-hi", hi, "--points", "3",
+        ]) == 1
+        assert capsys.readouterr().out == ""
 
 
 # ── resonances ───────────────────────────────────────────────────────────

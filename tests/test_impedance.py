@@ -252,15 +252,16 @@ def test_matrix_on_random_network():
 @pytest.mark.parametrize("case", ["grid10x10", "grid10x10-resonant", "rlcz120"])
 def test_pair_query_back_transforms_two_rows(monkeypatch, case):
     # Deterministic guard on the cost of a pair query: no full
-    # decomposition, and Q applied to the six selector columns and the 2k
-    # zero-pair columns only.  A count, not a timing.
+    # decomposition, Q applied once to the six selector columns, and no SVD,
+    # also at a resonance, where the zero space is read through its frame.
+    # A count, not a timing.
     if case == "rlcz120":
         net = random_connected_network(np.random.default_rng(120), 120, 120)
         omega = 1.3
     else:
         net = grid_network(10, 10, 1.0, 1.0)
         omega = 1.0 if case.endswith("resonant") else 0.7
-    decompositions, columns, rows = [], [], []
+    decompositions, columns, rows, svds = [], [], [], []
 
     def counting_decompose(*args):
         decompositions.append(args)
@@ -274,19 +275,46 @@ def test_pair_query_back_transforms_two_rows(monkeypatch, case):
         rows.append(takagi.takagi_rows(*args))
         return rows[-1]
 
-    apply_q = takagi._apply_q
+    def counting_svd(*args, **kwargs):
+        svds.append(args)
+        return svd(*args, **kwargs)
+
+    apply_q, svd = takagi._apply_q, np.linalg.svd
     monkeypatch.setattr(impedance, "takagi_decompose", counting_decompose)
     monkeypatch.setattr(impedance, "takagi_rows", recording_rows)
     monkeypatch.setattr(takagi, "_apply_q", counting_apply_q)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     r = two_point_impedance(net, omega, 1, net.node_count)
     assert decompositions == []
+    assert columns == [6]
+    assert svds == []
     (dec,) = rows
-    k = int(np.count_nonzero(dec.lam == 0.0))
-    assert sum(columns) <= 2 * k + 6
+    k = dec.lam.size - dec.order
+    assert np.count_nonzero(dec.lam == 0.0) == 2 * k
     if case.endswith("resonant"):
         assert r.status is ImpedanceStatus.RESONANT and k > 2
     lap = assemble_laplacian(net, omega)
     assert dec.residual <= 1e-14 * np.linalg.norm(lap, 2)
+
+
+@pytest.mark.parametrize("p, q", [(10, 11), (1, 2)])
+def test_divergent_coefficient_is_projection_onto_zero_space(p, q):
+    # At the free 8x8 grid's 7-fold resonance omega = 1 only the zero space
+    # is defined, not a basis of it.  The coupling is ||N^H (e_p - e_q)||^2
+    # for any orthonormal basis N of that space, here the right singular
+    # vectors of L at or below the zero threshold.
+    net = grid_network(8, 8, 1.0, 1.0)
+    lap = assemble_laplacian(net, 1.0)
+    _, s, vh = np.linalg.svd(lap)
+    null = vh[s <= 1e-13 * admittance_scale(net, 1.0)].conj().T
+    assert null.shape[1] == 8
+    want = float(np.sum(np.abs(null[p - 1] - null[q - 1]) ** 2))
+    single = two_point_impedance(net, 1.0, p, q)
+    entry = impedance_matrix(net, 1.0)[p - 1][q - 1]
+    for r in (single, entry):
+        assert r.status is ImpedanceStatus.RESONANT
+        assert r.resonant_mode_count == 7
+        assert abs(r.divergent_coefficient - want) <= 1e-12
 
 
 # ── resonance reporting ──────────────────────────────────────────────────

@@ -1,5 +1,6 @@
 """Complex symmetric factorization kernel."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -221,7 +222,6 @@ def test_classify_triangle_single_trivial_zero(triangle):
     dec = takagi_decompose(assemble_laplacian(triangle, 1.0))
     cls = classify_zero_modes(dec, admittance_scale(triangle, 1.0))
     assert cls.zero_indices == (0,)
-    assert cls.trivial_index == 0
     assert cls.nontrivial_zero_count == 0
 
 
@@ -234,7 +234,32 @@ def test_classify_resonant_ring_has_nontrivial_zero():
     dec = takagi_decompose(assemble_laplacian(net, omega))
     cls = classify_zero_modes(dec, admittance_scale(net, omega))
     assert cls.nontrivial_zero_count == 1
-    assert cls.trivial_index in cls.zero_indices
+    assert len(cls.zero_indices) == 2
+
+
+def test_classify_any_basis_of_the_zero_space():
+    # The trivial mode is found in the span of the zero modes, not in one
+    # column.  At the ring's resonance the zero space is two-dimensional;
+    # its basis {c, w}, c constant, rotated by 45 degrees leaves each column
+    # only 0.707 of the constant vector.
+    net = ring_network(3, [
+        Element.inductor(1.0), Element.inductor(1.0), Element.capacitor(1.0),
+    ])
+    omega = 1.0 / math.sqrt(2.0)
+    dec = takagi_decompose(assemble_laplacian(net, omega))
+    zero = dec.u[:, :2]
+    c = np.full(3, 1.0 / SQRT3)
+    w = np.linalg.svd(zero - np.outer(c, c @ zero))[0][:, 0]
+    u = dec.u.copy()
+    u[:, :2] = np.stack([c + w, c - w], axis=1) / SQRT2
+    rotated = dataclasses.replace(dec, u=u)
+    lap = assemble_laplacian(net, omega)
+    assert np.abs(lap @ u[:, :2]).max() <= 1e-15
+    overlaps = np.abs(rotated.col_sums[:2]) / SQRT3
+    assert np.abs(overlaps - 1.0 / SQRT2).max() <= 1e-12
+    cls = classify_zero_modes(rotated, admittance_scale(net, omega))
+    assert cls.zero_indices == (0, 1)
+    assert cls.nontrivial_zero_count == 1
 
 
 def test_classify_null_laplacian_two_zero_modes():
