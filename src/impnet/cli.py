@@ -328,40 +328,40 @@ def _cmd_check(args) -> int:
     omega = _omega_of(args)
     if args.pair is not None:
         pairs = [tuple(args.pair)]
-        spectral = {pairs[0]: two_point_impedance(net, omega, *pairs[0])}
+        s = two_point_impedance(net, omega, *pairs[0])
+        spectral = [s.value]
     else:
         n = net.node_count
-        table = impedance_matrix(net, omega)
+        s = impedance_matrix(net, omega)
         pairs = [(p, q) for p in range(1, n + 1) for q in range(p + 1, n + 1)]
-        spectral = {(p, q): table[p - 1][q - 1] for p, q in pairs}
+        spectral = [complex(s.value[p - 1, q - 1]) for p, q in pairs]
+    s_res = s.status is ImpedanceStatus.RESONANT
 
-    direct = {pq: solve_direct(net, omega, *pq) for pq in pairs}
+    direct = [solve_direct(net, omega, *pq) for pq in pairs]
     finite_scale = max(
-        (abs(z) for z in direct.values() if not isinstance(z, SingularSystem)),
+        (abs(z) for z in direct if not isinstance(z, SingularSystem)),
         default=0.0,
     )
 
     max_dev = 0.0
     mismatches = 0
     print("pair,spectral,direct,deviation")
-    for pq in pairs:
-        s, d = spectral[pq], direct[pq]
-        s_res = s.status is ImpedanceStatus.RESONANT
+    for (p, q), z, d in zip(pairs, spectral, direct):
         d_res = isinstance(d, SingularSystem)
-        label = f"{pq[0]}-{pq[1]}"
+        label = f"{p}-{q}"
         if s_res and d_res:
             print(f"{label},resonant,singular,agree")
             continue
         if s_res != d_res:
             mismatches += 1
-            s_txt = "resonant" if s_res else _fmt_complex(s.value)
+            s_txt = "resonant" if s_res else _fmt_complex(z)
             d_txt = "singular" if d_res else _fmt_complex(d)
             print(f"{label},{s_txt},{d_txt},VERDICT MISMATCH")
             continue
         denom = max(abs(d), finite_scale)
-        dev = abs(s.value - d) / denom if denom > 0 else 0.0
+        dev = abs(z - d) / denom if denom > 0 else 0.0
         max_dev = max(max_dev, dev)
-        print(f"{label},{_fmt_complex(s.value)},{_fmt_complex(d)},{_fmt(dev)}")
+        print(f"{label},{_fmt_complex(z)},{_fmt_complex(d)},{_fmt(dev)}")
     print(f"max relative deviation: {_fmt(max_dev)}")
     if mismatches:
         print(f"verdict mismatches: {mismatches}")

@@ -48,7 +48,7 @@ def solve_node_potentials(
     SINGULAR_REL_TOL (1e-13) of the network admittance scale.
     """
     w = check_angular_frequency(omega)
-    check_pair(net, p, q)
+    p, q = check_pair(net, p, q)
     g = q - 1
     lap = assemble_laplacian(net, w)
     reduced = np.delete(np.delete(lap, g, axis=0), g, axis=1)
@@ -87,7 +87,7 @@ def check_current_conservation(
     less the unit injected at p and extracted at q.
     """
     w = check_angular_frequency(omega)
-    check_pair(net, p, q)
+    p, q = check_pair(net, p, q)
     lap = assemble_laplacian(net, w)
     currents = lap @ np.asarray(potentials, dtype=complex)
     currents[[p - 1, q - 1]] -= [1.0, -1.0]

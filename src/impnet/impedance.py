@@ -12,9 +12,9 @@ difference), and any further zero mode marks an LC resonance where the
 impedance diverges with strength ||P0 (e_p - e_q)||^2, the squared norm of
 the projection of e_p - e_q onto the zero space: the sum of |u_ap - u_aq|^2
 over the zero columns, which does not depend on the basis a degenerate
-resonance leaves free.  The sums read only rows p and q of the u_a, so a
-single query takes them from takagi_rows and only the all-pairs table runs
-the full takagi_decompose.
+resonance leaves free.  The sums read only rows p and q of the u_a, so
+both a single query and the all-pairs table take the rows they read from
+takagi_rows: two for a pair, all n for the table.
 """
 
 from __future__ import annotations
@@ -28,13 +28,7 @@ import numpy as np
 
 from .laplacian import admittance_scale, assemble_laplacian, check_angular_frequency
 from .network import Network, check_pair
-from .takagi import (
-    TakagiDecomposition,
-    TakagiRows,
-    classify_zero_modes,
-    takagi_decompose,
-    takagi_rows,
-)
+from .takagi import TakagiRows, classify_zero_modes, takagi_rows
 
 # A finite result is flagged near_resonance when its smallest nontrivial
 # |lambda| is at or below this fraction of the largest: a conditioning
@@ -49,7 +43,7 @@ class ImpedanceStatus(Enum):
 
 @dataclass(frozen=True)
 class ImpedanceResult:
-    """Impedance of one node pair at one angular frequency.
+    """Impedance of one node pair, or of all pairs, at one angular frequency.
 
     status is RESONANT when a nontrivial mode has |lambda| at or below
     SINGULAR_REL_TOL times the network's admittance_scale, the rule the
@@ -62,13 +56,18 @@ class ImpedanceResult:
     |lambda| (in siemens) outside the trivial mode; near_resonance flags a finite
     result whose smallest nontrivial |lambda| is within NEAR_RESONANCE_REL
     (about 3.2e-5) of the largest, where the mode sum is poorly conditioned.
+
+    A pair query holds a complex value and a float coefficient.  The
+    all-pairs table holds (n, n) arrays indexed [p - 1, q - 1]; everything
+    else depends on the network and omega only, so one record serves every
+    pair.
     """
 
     status: ImpedanceStatus
-    value: complex
+    value: complex | np.ndarray
     omega: float
     resonant_mode_count: int
-    divergent_coefficient: float | None
+    divergent_coefficient: float | np.ndarray | None
     min_nontrivial_abs_lambda: float
     near_resonance: bool
 
@@ -94,53 +93,44 @@ def two_point_impedance(
     ImpedanceResult
     """
     w = check_angular_frequency(omega)
-    check_pair(net, p, q)
-    dec = takagi_rows(assemble_laplacian(net, w), p - 1, q - 1)
-    return _pair_result(_spectrum(dec, dec.rows, net, w), w, 0, 1)
+    p, q = check_pair(net, p, q)
+    spec = _spectrum(takagi_rows(assemble_laplacian(net, w), (p - 1, q - 1)), net, w)
+    value, coupling = _mode_sums(spec, 0, 1)
+    return _result(spec, w, complex(value), float(coupling))
 
 
-def impedance_matrix(net: Network, omega: float) -> list[list[ImpedanceResult]]:
-    """All-pairs impedance table from a single factorization.
+def impedance_matrix(net: Network, omega: float) -> ImpedanceResult:
+    """All-pairs impedance table from a single eigensolve.
 
-    Entry [p-1][q-1] equals two_point_impedance(net, omega, p, q); the table
-    is symmetric and diagonal entries are finite zeros.
+    value[p - 1, q - 1] and, when RESONANT, divergent_coefficient[p - 1,
+    q - 1] are the value and coefficient of two_point_impedance(net, omega,
+    p, q), up to rounding.  Both arrays are (n, n), exactly symmetric and
+    zero on the diagonal; divergent_coefficient is None when FINITE.
     """
     w = check_angular_frequency(omega)
     n = net.node_count
-    dec = takagi_decompose(assemble_laplacian(net, w))
-    spec = _spectrum(dec, dec.u, net, w)
-    table: list[list[ImpedanceResult | None]] = [[None] * n for _ in range(n)]
-    for p in range(1, n + 1):
-        table[p - 1][p - 1] = ImpedanceResult(
-            status=ImpedanceStatus.FINITE,
-            value=0j,
-            omega=w,
-            resonant_mode_count=0,
-            divergent_coefficient=None,
-            min_nontrivial_abs_lambda=spec.min_abs,
-            near_resonance=False,
-        )
-        for q in range(p + 1, n + 1):
-            r = _pair_result(spec, w, p - 1, q - 1)
-            table[p - 1][q - 1] = r
-            table[q - 1][p - 1] = r
-    return table  # type: ignore[return-value]
+    spec = _spectrum(takagi_rows(assemble_laplacian(net, w), range(n)), net, w)
+    value = np.zeros((n, n), dtype=complex)
+    coupling = np.zeros((n, n))
+    for p in range(n - 1):
+        rest = slice(p + 1, None)
+        value[p, rest], coupling[p, rest] = _mode_sums(spec, p, rest)
+    return _result(spec, w, value + value.T, coupling + coupling.T)
 
 
 class _Spectrum(NamedTuple):
-    """Pair-independent part of an impedance query."""
+    """Node-pair-independent part of an impedance query: the rows read,
+    split into the retained (nonzero) modes and the zero ones."""
 
-    u: np.ndarray  # rows of the factorization vectors, one per node read
-    lam: np.ndarray
-    retained: np.ndarray  # mask of the modes summed (nonzero lambda)
+    live: np.ndarray  # rows of the retained modes, one per node read
+    inv_lam: np.ndarray  # their 1 / lambda
+    zero: np.ndarray  # rows of the zero modes
     resonant: int  # dimension of the zero space past the trivial mode
     min_abs: float  # smallest |lambda| outside the trivial mode
     near_resonance: bool
 
 
-def _spectrum(
-    dec: TakagiDecomposition | TakagiRows, u: np.ndarray, net: Network, omega: float
-) -> _Spectrum:
+def _spectrum(dec: TakagiRows, net: Network, omega: float) -> _Spectrum:
     cls = classify_zero_modes(dec, admittance_scale(net, omega))
     retained = np.ones(dec.lam.size, dtype=bool)
     retained[list(cls.zero_indices)] = False
@@ -149,37 +139,32 @@ def _spectrum(
     others = mags[mags.size - dec.order + 1:]
     min_abs = float(others[0]) if others.size else 0.0
     return _Spectrum(
-        u,
-        dec.lam,
-        retained,
+        dec.rows[:, retained],
+        1.0 / dec.lam[retained],
+        dec.rows[:, ~retained],
         cls.nontrivial_zero_count,
         min_abs,
         min_abs <= NEAR_RESONANCE_REL * float(mags.max()),
     )
 
 
-def _pair_result(spec: _Spectrum, omega: float, i: int, j: int) -> ImpedanceResult:
-    """The result for rows i and j of spec.u."""
-    diffs = spec.u[i, :] - spec.u[j, :]
-    value = complex(np.sum(diffs[spec.retained] ** 2 / spec.lam[spec.retained]))
-    if spec.resonant:
-        return ImpedanceResult(
-            status=ImpedanceStatus.RESONANT,
-            value=value,
-            omega=omega,
-            resonant_mode_count=spec.resonant,
-            divergent_coefficient=float(
-                np.sum(np.abs(diffs[~spec.retained]) ** 2)
-            ),
-            min_nontrivial_abs_lambda=spec.min_abs,
-            near_resonance=False,
-        )
+def _mode_sums(spec: _Spectrum, i: int, j) -> tuple[np.ndarray, np.ndarray]:
+    """Between row i and the row or rows j of the rows read: the sums of
+    (u_i - u_j)^2 / lambda over the retained modes and of |u_i - u_j|^2
+    over the zero ones."""
+    live = spec.live[i] - spec.live[j]
+    zero = spec.zero[i] - spec.zero[j]
+    return live ** 2 @ spec.inv_lam, np.sum(np.abs(zero) ** 2, axis=-1)
+
+
+def _result(spec: _Spectrum, omega: float, value, coupling) -> ImpedanceResult:
+    resonant = spec.resonant > 0
     return ImpedanceResult(
-        status=ImpedanceStatus.FINITE,
+        status=ImpedanceStatus.RESONANT if resonant else ImpedanceStatus.FINITE,
         value=value,
         omega=omega,
-        resonant_mode_count=0,
-        divergent_coefficient=None,
+        resonant_mode_count=spec.resonant,
+        divergent_coefficient=coupling if resonant else None,
         min_nontrivial_abs_lambda=spec.min_abs,
-        near_resonance=spec.near_resonance,
+        near_resonance=spec.near_resonance and not resonant,
     )

@@ -21,6 +21,7 @@ converted to 0-based array indices only inside the numeric modules.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -144,14 +145,22 @@ class Network:
             raise DisconnectedError(comps)
 
 
-def check_pair(net: Network, p: int, q: int) -> None:
-    """Raise InvalidNodeError unless p and q are distinct labels of net."""
+def check_pair(net: Network, p: int, q: int) -> tuple[int, int]:
+    """p and q as ints; raise InvalidNodeError unless they are distinct
+    labels of net.  Any integer type is accepted (numpy's too), bool not."""
     n = net.node_count
     for label in (p, q):
-        if not isinstance(label, int) or label < 1 or label > n:
-            raise InvalidNodeError(f"node label {label!r} outside 1..{n}")
+        try:
+            index = operator.index(label)
+        except TypeError:
+            index = None
+        if index is None or isinstance(label, bool):
+            raise InvalidNodeError(f"node label {label!r} must be an integer")
+        if not 1 <= index <= n:
+            raise InvalidNodeError(f"node label {label} outside 1..{n}")
     if p == q:
         raise InvalidNodeError(f"node pair must be distinct, got ({p}, {q})")
+    return operator.index(p), operator.index(q)
 
 
 def _components(n: int, branches) -> list[list[int]]:

@@ -31,10 +31,11 @@ tridiagonal T = Q^T H Q, dstevd (divide and conquer) solves T z = w z, and
 dormqr back-transforms v = Q z.  takagi_decompose back-transforms every
 mode, orthonormalizes the zero block to return a unitary u, and
 canonicalizes the gauge by rotating the largest component of every u_a
-onto the positive real axis.  takagi_rows serves a pair query, which reads
-only rows p and q of the modes and their column sums: it applies Q^T to the
-six vectors that select them and projects those onto the z, zero frame
-included, in O(n^2) where the full back-transform is O(n^3).
+onto the positive real axis.  takagi_rows serves every impedance query,
+which reads only some rows of the modes and their column sums: it applies
+Q^T to the 2m + 2 vectors that select m rows and projects those onto the z,
+zero frame included.  A pair query reads two rows in O(n^2), where the full
+back-transform is O(n^3); the all-pairs table reads all n.
 """
 
 from __future__ import annotations
@@ -92,7 +93,8 @@ class TakagiDecomposition:
 
 @dataclass(frozen=True)
 class TakagiRows:
-    """Result of takagi_rows: what a pair query reads of the factorization.
+    """Result of takagi_rows: what an impedance query reads of the
+    factorization.
 
     The n + k columns, ascending in |lam| and in the eigensolver's gauge
     (lam real and nonnegative), are the 2k columns (x + iy)/sqrt(2) of the
@@ -104,7 +106,8 @@ class TakagiRows:
     order : int
         Matrix dimension n.
     rows : numpy.ndarray
-        (2, n + k) complex; rows[0, a] = u_ap and rows[1, a] = u_aq.
+        (m, n + k) complex; rows[i, a] = u_a at nodes[i] for the m nodes
+        passed to takagi_rows.
     col_sums : numpy.ndarray
         (n + k,) complex sums sum_i u_ai.
     lam : numpy.ndarray
@@ -209,9 +212,10 @@ def takagi_decompose(l: np.ndarray) -> TakagiDecomposition:
     )
 
 
-def takagi_rows(l: np.ndarray, p: int, q: int) -> TakagiRows:
-    """Rows p and q (0-based) of the factorization vectors of L, with their
-    values and column sums, in O(n^2) past the tridiagonal eigensolve.
+def takagi_rows(l: np.ndarray, nodes) -> TakagiRows:
+    """The rows of the factorization vectors of L at nodes (0-based), with
+    their values and column sums, in O(n^2 m) past the tridiagonal
+    eigensolve for m nodes.
 
     Each mode is v = Q z with u = v[:n] + i v[n:], so u_ap = (Q^T e_p)^T z
     + i (Q^T e_{n+p})^T z, and the column sum is the same with the constant
@@ -221,22 +225,23 @@ def takagi_rows(l: np.ndarray, p: int, q: int) -> TakagiRows:
     """
     l = _check_symmetric(l)
     n = l.shape[0]
+    m = len(nodes)
     t = _tridiagonal_eig(l)
     k = t.k
-    # columns select x_p, x_q, sum x, y_p, y_q, sum y of a vector [x; y]
-    f = np.zeros((2 * n, 6))
-    f[[p, q, n + p, n + q], [0, 1, 3, 4]] = 1.0
-    f[:n, 2] = 1.0
-    f[n:, 5] = 1.0
-    g = _apply_q(t, f, "T").T @ t.z[:, n - k:]
-    modes = g[:3] + 1j * g[3:]
+    # s selects the entries at the nodes and the sum of an n-vector, so the
+    # columns of diag(s, s) select those of x, then of y, in [x; y]
+    s = np.zeros((n, m + 1))
+    s[nodes, np.arange(m)] = 1.0
+    s[:, m] = 1.0
+    g = _apply_q(t, np.kron(np.eye(2), s), "T").T @ t.z[:, n - k:]
+    modes = g[:m + 1] + 1j * g[m + 1:]
     modes[:, :2 * k] /= math.sqrt(2.0)
     lam = np.zeros(n + k)
     lam[2 * k:] = t.w[n + k:]
     return TakagiRows(
         order=n,
-        rows=modes[:2],
-        col_sums=modes[2],
+        rows=modes[:m],
+        col_sums=modes[m],
         lam=lam,
         residual=_tridiagonal_residual(t, n - k),
     )
@@ -332,7 +337,7 @@ def classify_zero_modes(
     dimension of the zero space less one: the zero columns less the
     columns beyond the order (a tight frame's redundant ones) less the
     trivial mode.  Reads only |lambda| and the column sums, so a full
-    decomposition and a pair query's rows classify alike.
+    decomposition and the rows of takagi_rows classify alike.
     """
     mags = np.abs(d.lam)
     threshold = SINGULAR_REL_TOL * float(scale)

@@ -80,7 +80,7 @@ def test_criterion_03_ring_closed_form():
                 for q in range(p + 1, n + 1):
                     d = abs(p - q)
                     want = z * d * (1.0 - d / n)
-                    got = table[p - 1][q - 1].value
+                    got = table.value[p - 1, q - 1]
                     rel = abs(got - want) / abs(want)
                     worst = max(worst, rel)
                     assert rel <= 1e-9, (n, z, p, q)
@@ -231,7 +231,7 @@ def test_criterion_08_oracle_equivalence():
         lap = assemble_laplacian(net, omega)
         abs_lambda_max = float(np.linalg.norm(lap, 2))
         table = impedance_matrix(net, omega)
-        if table[0][1].min_nontrivial_abs_lambda < 1e-3 * abs_lambda_max:
+        if table.min_nontrivial_abs_lambda < 1e-3 * abs_lambda_max:
             skipped += 1
             continue
         n = net.node_count
@@ -240,7 +240,7 @@ def test_criterion_08_oracle_equivalence():
             q = int(rng.integers(1, n + 1))
             if p == q:
                 q = p % n + 1
-            spectral = table[p - 1][q - 1].value
+            spectral = table.value[p - 1, q - 1]
             direct = solve_direct(net, omega, p, q)
             assert not isinstance(direct, SingularSystem)
             denom = max(abs(spectral), abs(direct))

@@ -13,6 +13,7 @@ from impnet import (
     SingularSystem,
     assemble_laplacian,
     check_current_conservation,
+    grid_network,
     ring_network,
     solve_direct,
     solve_node_potentials,
@@ -93,3 +94,13 @@ def test_pair_validation(triangle):
         solve_direct(triangle, 1.0, 0, 1)
     with pytest.raises(InvalidNodeError):
         solve_node_potentials(triangle, 1.0, 1, 9)
+    for label in (1.0, True):
+        with pytest.raises(InvalidNodeError, match="must be an integer"):
+            solve_direct(triangle, 1.0, label, 2)
+
+
+def test_numpy_integer_labels_accepted():
+    net = grid_network(3, 3, 1.0, 1.0)
+    want = solve_direct(net, 0.7, 1, 2)
+    for p in (np.int64(1), np.int32(1)):
+        assert solve_direct(net, 0.7, p, np.int64(2)) == want

@@ -108,7 +108,7 @@ def test_resistor_triangle_inequality():
         net = random_connected_network(rng, 4, 8, kinds="R")
         n = net.node_count
         table = impedance_matrix(net, 1.0)
-        r = [[table[p][q].value.real for q in range(n)] for p in range(n)]
+        r = table.value.real
         for p in range(n):
             for q in range(n):
                 for k in range(n):
@@ -172,22 +172,24 @@ def test_verdicts_independent_of_units():
 
 def test_matrix_agrees_with_single_queries(triangle):
     table = impedance_matrix(triangle, 1.0)
+    assert table.value.shape == (3, 3)
+    assert np.array_equal(table.value, table.value.T)
+    assert np.all(np.diag(table.value) == 0j)
     for p in range(1, 4):
-        assert table[p - 1][p - 1].value == 0j
         for q in range(1, 4):
             if p == q:
                 continue
             single = two_point_impedance(triangle, 1.0, p, q)
-            assert abs(table[p - 1][q - 1].value - single.value) <= 1e-12
-            assert table[p - 1][q - 1] is table[q - 1][p - 1]
+            assert abs(table.value[p - 1, q - 1] - single.value) <= 1e-12
 
 
 def _assert_table_matches_queries(net, omega, pairs):
-    # The table back-transforms every mode and a single query reads two
-    # rows of the same eigensolve.  A value is compared against
-    # sum_a |u_ap - u_aq|^2 / |lambda_a|, which is |Z| unless the mode sum
-    # cancels: between opposite corners of the 8x8 grid at (1 +- 1e-6)
-    # times its 7-fold resonance, |Z| = 7e-6 and the sum is 3.8.  A pair
+    # The table reads all n rows and a single query two rows of the same
+    # eigensolve, each through its own application of Q^T.  A value is
+    # compared against sum_a |u_ap - u_aq|^2 / |lambda_a|, which is |Z|
+    # unless the mode sum cancels: between opposite corners of the 8x8 grid
+    # at (1 +- 1e-6) times its 7-fold resonance, |Z| = 7e-6 and the sum is
+    # 3.8.  A pair
     # that does not couple to the resonant modes has a
     # divergent_coefficient of rounding noise, ~1e-30.
     table = impedance_matrix(net, omega)
@@ -197,18 +199,18 @@ def _assert_table_matches_queries(net, omega, pairs):
     mags[list(cls.zero_indices)] = np.inf
     statuses = set()
     for p, q in pairs:
-        t = table[p - 1][q - 1]
         s = two_point_impedance(net, omega, p, q)
-        assert s.status is t.status, (omega, p, q)
-        assert s.resonant_mode_count == t.resonant_mode_count, (omega, p, q)
-        if t.status is ImpedanceStatus.FINITE:
+        assert s.status is table.status, (omega, p, q)
+        assert s.resonant_mode_count == table.resonant_mode_count, (omega, p, q)
+        if table.status is ImpedanceStatus.FINITE:
             terms = np.sum(np.abs(dec.u[p - 1] - dec.u[q - 1]) ** 2 / mags)
-            assert abs(s.value - t.value) <= 1e-12 * terms, (omega, p, q)
+            t = table.value[p - 1, q - 1]
+            assert abs(s.value - t) <= 1e-12 * terms, (omega, p, q)
         else:
             assert s.divergent_coefficient == pytest.approx(
-                t.divergent_coefficient, rel=1e-9, abs=1e-20
+                table.divergent_coefficient[p - 1, q - 1], rel=1e-9, abs=1e-20
             ), (omega, p, q)
-        statuses.add(t.status)
+        statuses.add(table.status)
     return statuses
 
 
@@ -221,7 +223,7 @@ def test_matrix_on_random_network():
     for p in range(1, n + 1):
         for q in range(p + 1, n + 1):
             single = two_point_impedance(net, omega, p, q)
-            assert abs(table[p - 1][q - 1].value - single.value) <= 1e-12
+            assert abs(table.value[p - 1, q - 1] - single.value) <= 1e-12
 
     cases = [
         (random_connected_network(rng, n, n), float(10.0 ** rng.uniform(-1, 1)))
@@ -249,6 +251,40 @@ def test_matrix_on_random_network():
     assert statuses == {ImpedanceStatus.FINITE, ImpedanceStatus.RESONANT}
 
 
+def _count_factorization_calls(monkeypatch):
+    """Record takagi_decompose calls, the column count of every _apply_q
+    call, every takagi_rows result and every SVD."""
+    # no query path may reach the full factorization by its own binding
+    assert not hasattr(impedance, "takagi_decompose")
+    calls = {"decompose": [], "columns": [], "rows": [], "svd": []}
+    decompose, apply_q, rows = (
+        takagi.takagi_decompose, takagi._apply_q, takagi.takagi_rows
+    )
+    svd = np.linalg.svd
+
+    def counting_decompose(*args):
+        calls["decompose"].append(args)
+        return decompose(*args)
+
+    def counting_apply_q(t, c, trans):
+        calls["columns"].append(c.shape[1])
+        return apply_q(t, c, trans)
+
+    def recording_rows(*args):
+        calls["rows"].append(rows(*args))
+        return calls["rows"][-1]
+
+    def counting_svd(*args, **kwargs):
+        calls["svd"].append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(takagi, "takagi_decompose", counting_decompose)
+    monkeypatch.setattr(impedance, "takagi_rows", recording_rows)
+    monkeypatch.setattr(takagi, "_apply_q", counting_apply_q)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
 @pytest.mark.parametrize("case", ["grid10x10", "grid10x10-resonant", "rlcz120"])
 def test_pair_query_back_transforms_two_rows(monkeypatch, case):
     # Deterministic guard on the cost of a pair query: no full
@@ -261,40 +297,37 @@ def test_pair_query_back_transforms_two_rows(monkeypatch, case):
     else:
         net = grid_network(10, 10, 1.0, 1.0)
         omega = 1.0 if case.endswith("resonant") else 0.7
-    decompositions, columns, rows, svds = [], [], [], []
-
-    def counting_decompose(*args):
-        decompositions.append(args)
-        return takagi.takagi_decompose(*args)
-
-    def counting_apply_q(t, c, trans):
-        columns.append(c.shape[1])
-        return apply_q(t, c, trans)
-
-    def recording_rows(*args):
-        rows.append(takagi.takagi_rows(*args))
-        return rows[-1]
-
-    def counting_svd(*args, **kwargs):
-        svds.append(args)
-        return svd(*args, **kwargs)
-
-    apply_q, svd = takagi._apply_q, np.linalg.svd
-    monkeypatch.setattr(impedance, "takagi_decompose", counting_decompose)
-    monkeypatch.setattr(impedance, "takagi_rows", recording_rows)
-    monkeypatch.setattr(takagi, "_apply_q", counting_apply_q)
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    calls = _count_factorization_calls(monkeypatch)
     r = two_point_impedance(net, omega, 1, net.node_count)
-    assert decompositions == []
-    assert columns == [6]
-    assert svds == []
-    (dec,) = rows
+    assert calls["decompose"] == []
+    assert calls["columns"] == [6]
+    assert calls["svd"] == []
+    (dec,) = calls["rows"]
     k = dec.lam.size - dec.order
     assert np.count_nonzero(dec.lam == 0.0) == 2 * k
     if case.endswith("resonant"):
         assert r.status is ImpedanceStatus.RESONANT and k > 2
     lap = assemble_laplacian(net, omega)
     assert dec.residual <= 1e-14 * np.linalg.norm(lap, 2)
+
+
+@pytest.mark.parametrize("omega", [0.7, 1.0])
+def test_table_reads_rows_in_one_back_transform(monkeypatch, omega):
+    # The all-pairs table takes the route of a pair query with all n rows:
+    # no full decomposition, Q^T applied once to the 2n + 2 selector
+    # columns, and no SVD, off and at the free 10x10 grid's resonance.
+    net = grid_network(10, 10, 1.0, 1.0)
+    n = net.node_count
+    calls = _count_factorization_calls(monkeypatch)
+    table = impedance_matrix(net, omega)
+    assert calls["decompose"] == []
+    assert calls["columns"] == [2 * n + 2]
+    assert calls["svd"] == []
+    (dec,) = calls["rows"]
+    assert dec.rows.shape == (n, dec.lam.size)
+    assert table.value.shape == (n, n)
+    want = ImpedanceStatus.RESONANT if omega == 1.0 else ImpedanceStatus.FINITE
+    assert table.status is want
 
 
 @pytest.mark.parametrize("p, q", [(10, 11), (1, 2)])
@@ -308,13 +341,15 @@ def test_divergent_coefficient_is_projection_onto_zero_space(p, q):
     _, s, vh = np.linalg.svd(lap)
     null = vh[s <= 1e-13 * admittance_scale(net, 1.0)].conj().T
     assert null.shape[1] == 8
-    want = float(np.sum(np.abs(null[p - 1] - null[q - 1]) ** 2))
+    want = np.sum(np.abs(null[:, np.newaxis] - null[np.newaxis]) ** 2, axis=-1)
     single = two_point_impedance(net, 1.0, p, q)
-    entry = impedance_matrix(net, 1.0)[p - 1][q - 1]
-    for r in (single, entry):
+    table = impedance_matrix(net, 1.0)
+    for r in (single, table):
         assert r.status is ImpedanceStatus.RESONANT
         assert r.resonant_mode_count == 7
-        assert abs(r.divergent_coefficient - want) <= 1e-12
+    assert abs(single.divergent_coefficient - want[p - 1, q - 1]) <= 1e-12
+    assert table.divergent_coefficient.shape == want.shape
+    assert np.abs(table.divergent_coefficient - want).max() <= 1e-12
 
 
 # ── resonance reporting ──────────────────────────────────────────────────
@@ -400,5 +435,14 @@ def test_invalid_pairs_rejected(triangle):
         two_point_impedance(triangle, 1.0, 0, 2)
     with pytest.raises(InvalidNodeError):
         two_point_impedance(triangle, 1.0, 1, 4)
-    with pytest.raises(InvalidNodeError):
-        two_point_impedance(triangle, 1.0, 1.5, 2)
+    for label in (1.5, 1.0, True):
+        with pytest.raises(InvalidNodeError, match="must be an integer"):
+            two_point_impedance(triangle, 1.0, label, 2)
+
+
+def test_numpy_integer_labels_accepted():
+    # A pair read off the table with np.unravel_index has numpy labels.
+    net = grid_network(3, 3, 1.0, 1.0)
+    want = two_point_impedance(net, 0.7, 1, 2).value
+    for p in (np.int64(1), np.int32(1)):
+        assert two_point_impedance(net, 0.7, p, np.int64(2)).value == want
