@@ -15,7 +15,6 @@ from .direct import (
 )
 from .errors import (
     ConvergenceError,
-    DegenerateElementError,
     DisconnectedError,
     ImpnetError,
     InvalidNodeError,
@@ -35,7 +34,7 @@ from .laplacian import (
     SINGULAR_REL_TOL,
     admittance_scale,
     assemble_laplacian,
-    branch_admittance,
+    branch_admittances,
     check_angular_frequency,
     laplacian_parts,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "Boundary",
     "Branch",
     "ConvergenceError",
-    "DegenerateElementError",
     "DetectionMethod",
     "DisconnectedError",
     "Element",
@@ -94,7 +92,7 @@ __all__ = [
     "ZeroModeClassification",
     "admittance_scale",
     "assemble_laplacian",
-    "branch_admittance",
+    "branch_admittances",
     "check_angular_frequency",
     "check_current_conservation",
     "classify_zero_modes",

@@ -29,10 +29,6 @@ class DisconnectedError(ValidationError):
         super().__init__(f"network is not connected: components {parts}")
 
 
-class DegenerateElementError(ImpnetError):
-    """Element admits no finite admittance (zero fixed impedance)."""
-
-
 class InvalidNodeError(ImpnetError):
     """Node pair is out of range or degenerate."""
 

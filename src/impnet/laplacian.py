@@ -1,23 +1,23 @@
 """Branch admittances and the complex symmetric network Laplacian.
 
-At angular frequency omega the branch admittances are 1/R, 1/(j omega L),
-j omega C, and 1/z.  The Laplacian carries the merged admittance sum of all
-branches joining a node pair on the off-diagonal (negated) and the sum of
-incident admittances on the diagonal, so every row sums to zero and the
-constant vector is an exact null vector.  The matrix is symmetric (L == L^T)
-but not Hermitian once any branch is reactive.
+branch_admittances gives 1/R, 1/(j omega L), j omega C and 1/z for every
+branch; assembly, admittance_scale and laplacian_parts read that array.
+The Laplacian carries the merged admittance sum of all branches joining a
+node pair on the off-diagonal (negated) and the sum of incident admittances
+on the diagonal, so every row sums to zero and the constant vector is an
+exact null vector.  The matrix is symmetric (L == L^T) but not Hermitian
+once any branch is reactive.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateElementError, ValidationError
-from .network import Element, ElementKind, Network
+from .errors import ValidationError
+from .network import ElementKind, Network
 
 # A Laplacian is singular at omega when a pivot (direct route) or a
 # factorization value |lambda| (spectral route) is at or below this fraction
@@ -35,31 +35,42 @@ def check_angular_frequency(omega: float) -> float:
     return w
 
 
-def branch_admittance(element: Element, omega: float) -> complex:
-    """Complex admittance of a single element at angular frequency omega.
+# Globals: several times cheaper than ElementKind's attributes in a loop.
+_INDUCTOR, _CAPACITOR = ElementKind.INDUCTOR, ElementKind.CAPACITOR
 
-    Raises ValidationError naming the element when the admittance is not
-    finite (for example a subnormal resistance or a huge capacitance).
+
+def branch_admittances(net: Network, omega: float) -> np.ndarray:
+    """Complex admittance of every branch of net at omega, in branch order.
+
+    Each value is CPython's scalar arithmetic on the element value, so
+    every caller sees the same bits.  Raises ValidationError naming the
+    first element whose admittance is not finite (for example a subnormal
+    resistance or a huge capacitance).
     """
     w = check_angular_frequency(omega)
-    kind = element.kind
-    if kind is ElementKind.RESISTOR:
-        y = complex(1.0 / element.value)
-    elif kind is ElementKind.INDUCTOR:
-        wl = w * element.value  # 0 when the product underflows
-        y = -1j / wl if wl else complex(0.0, -math.inf)
-    elif kind is ElementKind.CAPACITOR:
-        y = 1j * w * element.value
-    elif element.value == 0:
-        raise DegenerateElementError("fixed impedance of 0 has no admittance")
-    else:
-        y = 1.0 / element.value
-    if not cmath.isfinite(y):
-        raise ValidationError(
-            f"admittance of {kind.name.lower()} {element.value!r} at omega "
-            f"{w!r} is not finite"
-        )
-    return y
+    ys = []
+    for br in net.branches:
+        kind, v = br.element.kind, br.element.value
+        if kind is _INDUCTOR:
+            wl = w * v  # 0 when the product underflows
+            ys.append(-1j / wl if wl else complex(0.0, -math.inf))
+        elif kind is _CAPACITOR:
+            ys.append(1j * w * v)
+        else:  # resistor or fixed impedance
+            ys.append(1.0 / v)
+    ys = np.array(ys, dtype=complex)
+    bad = np.flatnonzero(~np.isfinite(ys))
+    if bad.size:
+        e = net.branches[bad[0]].element
+        raise ValidationError(f"admittance of {e.kind.name.lower()} {e.value!r} "
+                              f"at omega {w!r} is not finite")
+    return ys
+
+
+def _ends(net: Network) -> np.ndarray:
+    """0-based nodes a_0, b_0, a_1, b_1, ... joined by the branches, in order."""
+    ends = [end for br in net.branches for end in (br.node_a, br.node_b)]
+    return np.array(ends, np.intp) - 1
 
 
 def _stamp(net: Network, ys: np.ndarray) -> np.ndarray:
@@ -69,16 +80,11 @@ def _stamp(net: Network, ys: np.ndarray) -> np.ndarray:
     and each diagonal entry is the negated sum of its merged off-diagonal
     row, which keeps row sums at zero to machine precision.
     """
-    n, m = net.node_count, len(net.branches)
-    a = np.fromiter((br.node_a - 1 for br in net.branches), np.intp, m)
-    b = np.fromiter((br.node_b - 1 for br in net.branches), np.intp, m)
+    n = net.node_count
+    ends = _ends(net)
     adm = np.zeros((n, n), dtype=ys.dtype)
     # (a, b) then (b, a) per branch: the accumulation order of a loop
-    np.add.at(
-        adm,
-        (np.column_stack((a, b)).ravel(), np.column_stack((b, a)).ravel()),
-        np.repeat(ys, 2),
-    )
+    np.add.at(adm, (ends, ends.reshape(-1, 2)[:, ::-1].ravel()), np.repeat(ys, 2))
     lap = -adm
     np.fill_diagonal(lap, adm.sum(axis=1))
     return lap
@@ -92,9 +98,7 @@ def assemble_laplacian(net: Network, omega: float) -> np.ndarray:
     numpy.ndarray
         Dense complex (node_count, node_count) matrix.
     """
-    w = check_angular_frequency(omega)
-    ys = [branch_admittance(br.element, w) for br in net.branches]
-    return _stamp(net, np.array(ys, dtype=complex))
+    return _stamp(net, branch_admittances(net, omega))
 
 
 def laplacian_parts(net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -104,10 +108,9 @@ def laplacian_parts(net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Y the resistor and fixed-impedance admittances (complex).  Raises
     ValidationError when an entry is not finite.
     """
-    ys = np.array([branch_admittance(br.element, 1.0) for br in net.branches])
-    kinds = [br.element.kind for br in net.branches]
-    cap = np.array([k is ElementKind.CAPACITOR for k in kinds])
-    ind = np.array([k is ElementKind.INDUCTOR for k in kinds])
+    ys = branch_admittances(net, 1.0)
+    kinds = np.array([br.element.kind for br in net.branches])
+    cap, ind = kinds == _CAPACITOR, kinds == _INDUCTOR
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
         parts = (
             _stamp(net, np.where(cap, ys.imag, 0.0)),
@@ -127,13 +130,10 @@ def admittance_scale(net: Network, omega: float) -> float:
     resonance where the assembled matrix itself can vanish.  Singularity
     verdicts compare against SINGULAR_REL_TOL times this scale.
     """
-    w = check_angular_frequency(omega)
-    totals = np.zeros(net.node_count)
-    for br in net.branches:
-        ay = abs(branch_admittance(br.element, w))
-        totals[br.node_a - 1] += ay
-        totals[br.node_b - 1] += ay
-    return float(totals.max())
+    ys = branch_admittances(net, omega)
+    # the bits of a loop: hypot is abs() of a complex, bincount adds in order
+    weights = np.repeat(np.hypot(ys.real, ys.imag), 2)
+    return float(np.bincount(_ends(net), weights, net.node_count).max())
 
 
 @lru_cache(maxsize=128)

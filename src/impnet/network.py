@@ -106,13 +106,15 @@ class Branch:
     element: Element
 
     def __post_init__(self):
-        a, b = self.node_a, self.node_b
-        if not (isinstance(a, int) and isinstance(b, int)):
+        a, b = _as_int(self.node_a), _as_int(self.node_b)
+        if a is None or b is None:
             raise ValidationError("node labels must be integers")
         if a < 1 or b < 1:
             raise ValidationError(f"node labels must be >= 1, got ({a}, {b})")
         if a == b:
             raise ValidationError(f"self-loop at node {a} is not allowed")
+        object.__setattr__(self, "node_a", a)
+        object.__setattr__(self, "node_b", b)
 
 
 @dataclass(frozen=True)
@@ -128,9 +130,11 @@ class Network:
     branches: tuple[Branch, ...]
 
     def __post_init__(self):
-        n = self.node_count
-        if not isinstance(n, int) or n < 1:
-            raise ValidationError(f"node_count must be a positive int, got {n!r}")
+        n = _as_int(self.node_count)
+        if n is None or n < 1:
+            raise ValidationError(f"node_count must be a positive int, "
+                                  f"got {self.node_count!r}")
+        object.__setattr__(self, "node_count", n)
         object.__setattr__(self, "branches", tuple(self.branches))
         if not self.branches:
             raise ValidationError("network has no branches")
@@ -150,17 +154,22 @@ def check_pair(net: Network, p: int, q: int) -> tuple[int, int]:
     labels of net.  Any integer type is accepted (numpy's too), bool not."""
     n = net.node_count
     for label in (p, q):
-        try:
-            index = operator.index(label)
-        except TypeError:
-            index = None
-        if index is None or isinstance(label, bool):
+        index = _as_int(label)
+        if index is None:
             raise InvalidNodeError(f"node label {label!r} must be an integer")
         if not 1 <= index <= n:
             raise InvalidNodeError(f"node label {label} outside 1..{n}")
     if p == q:
         raise InvalidNodeError(f"node pair must be distinct, got ({p}, {q})")
     return operator.index(p), operator.index(q)
+
+
+def _as_int(value) -> int | None:
+    """value as a plain int if it is an integer of any type but bool."""
+    try:
+        return None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return None
 
 
 def _components(n: int, branches) -> list[list[int]]:

@@ -28,14 +28,13 @@ when ||P0 1|| / sqrt(n) >= 0.99.
 
 The eigensolve is LAPACK's, taken in its three steps: dsytrd reduces H to a
 tridiagonal T = Q^T H Q, dstevd (divide and conquer) solves T z = w z, and
-dormqr back-transforms v = Q z.  takagi_decompose back-transforms every
-mode, orthonormalizes the zero block to return a unitary u, and
-canonicalizes the gauge by rotating the largest component of every u_a
-onto the positive real axis.  takagi_rows serves every impedance query,
-which reads only some rows of the modes and their column sums: it applies
-Q^T to the 2m + 2 vectors that select m rows and projects those onto the z,
-zero frame included.  A pair query reads two rows in O(n^2), where the full
-back-transform is O(n^3); the all-pairs table reads all n.
+dormqr applies Q^T.  No mode v = Q z is back-transformed: takagi_rows, the
+one factorization route, applies Q^T to the 2m + 2 vectors that select m
+rows and their sums, and projects those onto the z, zero frame included.
+A pair query reads two rows in O(n^2); the all-pairs table reads all n in
+O(n^3).  takagi_decompose reads all n rows the same way, orthonormalizes
+the zero block to return a unitary u, and canonicalizes the gauge by
+rotating the largest component of every u_a onto the positive real axis.
 """
 
 from __future__ import annotations
@@ -138,13 +137,12 @@ class ZeroModeClassification:
 
 
 class _Tridiagonal(NamedTuple):
-    """H = Q T Q^T and T z = z diag(w), w ascending, before the
-    back-transform.  T has diagonal d and off-diagonal e; Q fixes the first
-    coordinate and is held as dsytrd's reflectors, copied once into Fortran
-    order so that every dormqr call reads them in place.  w is symmetric
-    about zero: its top n values are the |lambda_a|, and the 2k middle
-    columns of z, at the eigensolver noise floor, span both members of each
-    of the k zero pairs."""
+    """H = Q T Q^T and T z = z diag(w), w ascending.  T has diagonal d and
+    off-diagonal e; Q fixes the first coordinate and is held as dsytrd's
+    reflectors, copied once into Fortran order so that every dormqr call
+    reads them in place.  w is symmetric about zero: its top n values are
+    the |lambda_a|, and the 2k middle columns of z, at the eigensolver noise
+    floor, span both members of each of the k zero pairs."""
 
     w: np.ndarray
     z: np.ndarray
@@ -173,10 +171,9 @@ def takagi_decompose(l: np.ndarray) -> TakagiDecomposition:
     """
     l = _check_symmetric(l)
     n = l.shape[0]
-    t = _tridiagonal_eig(l)
-    k = t.k
-    v = _apply_q(t, t.z[:, n - k:], "N")
-    zero, live = np.split(v[:n] + 1j * v[n:], [2 * k], axis=1)
+    rows = takagi_rows(l, range(n))
+    k = rows.lam.size - n
+    zero, live = np.split(rows.rows, [2 * k], axis=1)
     if k:
         # The 2k zero pairs span the zero space twice over.  They are
         # real-orthogonal to every live eigenvector but complex-orthogonal
@@ -188,8 +185,7 @@ def takagi_decompose(l: np.ndarray) -> TakagiDecomposition:
             zero - live @ (live.conj().T @ zero), full_matrices=False
         )[0][:, :k]
     u = np.concatenate([zero, live], axis=1)
-    lam = np.zeros(n, dtype=complex)
-    lam[k:] = t.w[n + k:]
+    lam = rows.lam[k:].astype(complex)  # k zeros, then the live values
 
     # gauge canonicalization: largest component of each u_a real positive
     piv = u[np.argmax(np.abs(u), axis=0), np.arange(n)]
@@ -233,7 +229,7 @@ def takagi_rows(l: np.ndarray, nodes) -> TakagiRows:
     s = np.zeros((n, m + 1))
     s[nodes, np.arange(m)] = 1.0
     s[:, m] = 1.0
-    g = _apply_q(t, np.kron(np.eye(2), s), "T").T @ t.z[:, n - k:]
+    g = _apply_q(t, np.kron(np.eye(2), s)).T @ t.z[:, n - k:]
     modes = g[:m + 1] + 1j * g[m + 1:]
     modes[:, :2 * k] /= math.sqrt(2.0)
     lam = np.zeros(n + k)
@@ -287,12 +283,12 @@ def _tridiagonal_eig(l: np.ndarray) -> _Tridiagonal:
     return _Tridiagonal(w, z, d, e, np.asfortranarray(c[1:, :-1]), tau, k)
 
 
-def _apply_q(t: _Tridiagonal, c: np.ndarray, trans: str) -> np.ndarray:
-    """Q c for trans "N" and Q^T c for trans "T", c real of shape (2n, m)."""
+def _apply_q(t: _Tridiagonal, c: np.ndarray) -> np.ndarray:
+    """Q^T c, c real of shape (2n, m)."""
     rest = np.asfortranarray(c[1:])
-    lwork = lapack.dormqr("L", trans, t.reflectors, t.tau, rest, -1)[1][0]
+    lwork = lapack.dormqr("L", "T", t.reflectors, t.tau, rest, -1)[1][0]
     rest, _, info = lapack.dormqr(
-        "L", trans, t.reflectors, t.tau, rest, int(lwork), overwrite_c=1
+        "L", "T", t.reflectors, t.tau, rest, int(lwork), overwrite_c=1
     )
     _check_info("dormqr", info)
     return np.concatenate([c[:1], rest])

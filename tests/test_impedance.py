@@ -266,9 +266,9 @@ def _count_factorization_calls(monkeypatch):
         calls["decompose"].append(args)
         return decompose(*args)
 
-    def counting_apply_q(t, c, trans):
+    def counting_apply_q(t, c):
         calls["columns"].append(c.shape[1])
-        return apply_q(t, c, trans)
+        return apply_q(t, c)
 
     def recording_rows(*args):
         calls["rows"].append(rows(*args))

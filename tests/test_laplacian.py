@@ -1,36 +1,49 @@
 """Laplacian assembly, admittances, and the constant parts."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from impnet import (
-    DegenerateElementError,
+    Branch,
     Element,
+    Network,
     ValidationError,
     admittance_scale,
     assemble_laplacian,
-    branch_admittance,
+    branch_admittances,
     check_angular_frequency,
+    find_resonances,
+    grid_network,
+    impedance_matrix,
     laplacian_parts,
     ring_network,
+    solve_direct,
+    two_point_impedance,
 )
 from conftest import SQRT3, random_connected_network
 
 # ── admittances ──────────────────────────────────────────────────────────
 
+def _admittance(element, omega):
+    """branch_admittances of the one-branch network of element."""
+    (y,) = branch_admittances(Network(2, (Branch(1, 2, element),)), omega)
+    return y
+
+
 def test_branch_admittance_values():
-    assert branch_admittance(Element.resistor(4.0), 2.0) == 0.25
-    assert branch_admittance(Element.inductor(0.5), 2.0) == -1j
-    assert branch_admittance(Element.capacitor(0.25), 2.0) == 0.5j
-    assert branch_admittance(Element.impedance(2j), 7.0) == -0.5j
+    assert _admittance(Element.resistor(4.0), 2.0) == 0.25
+    assert _admittance(Element.inductor(0.5), 2.0) == -1j
+    assert _admittance(Element.capacitor(0.25), 2.0) == 0.5j
+    assert _admittance(Element.impedance(2j), 7.0) == -0.5j
 
 
 def test_branch_admittance_scales_with_omega():
     for omega in (0.1, 1.0, 40.0):
-        yl = branch_admittance(Element.inductor(2.0), omega)
-        yc = branch_admittance(Element.capacitor(3.0), omega)
+        yl = _admittance(Element.inductor(2.0), omega)
+        yc = _admittance(Element.capacitor(3.0), omega)
         assert yl == pytest.approx(-1j / (omega * 2.0))
         assert yc == pytest.approx(1j * omega * 3.0)
 
@@ -42,15 +55,32 @@ def test_check_angular_frequency():
             check_angular_frequency(bad)
 
 
-def test_zero_impedance_element_degenerate():
-    # Constructors reject a zero impedance, so bypass validation to hit the
-    # admittance-side guard directly.
-    from impnet import ElementKind
-    el = object.__new__(Element)
-    object.__setattr__(el, "kind", ElementKind.IMPEDANCE)
-    object.__setattr__(el, "value", 0j)
-    with pytest.raises(DegenerateElementError):
-        branch_admittance(el, 1.0)
+def test_omega_validated_once_per_admittance_pass(monkeypatch):
+    # omega is validated once per call of branch_admittances, not once per
+    # branch: at most three times per query, never 2 * 180 + 3 on this grid
+    calls = []
+
+    def counted(omega):
+        calls.append(omega)
+        return check_angular_frequency(omega)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "impnet" and (
+            getattr(module, "check_angular_frequency", None)
+            is check_angular_frequency
+        ):
+            monkeypatch.setattr(module, "check_angular_frequency", counted)
+    net = grid_network(10, 10, 1.0, 1.0)
+    queries = {
+        "two_point_impedance": lambda: two_point_impedance(net, 0.7, 1, 100),
+        "impedance_matrix": lambda: impedance_matrix(net, 0.7),
+        "solve_direct": lambda: solve_direct(net, 0.7, 1, 100),
+        "find_resonances": lambda: find_resonances(net, 0.5, 2.0),
+    }
+    for name, query in queries.items():
+        calls.clear()
+        query()
+        assert 1 <= len(calls) <= 3, (name, len(calls))
 
 
 # ── assembly invariants ──────────────────────────────────────────────────
@@ -70,7 +100,6 @@ def test_laplacian_rows_sum_to_zero_and_symmetric():
 
 
 def test_parallel_branches_accumulate():
-    from impnet import Branch, Network
     net = Network(2, (
         Branch(1, 2, Element.resistor(2.0)),
         Branch(1, 2, Element.resistor(2.0)),
@@ -113,7 +142,6 @@ def test_laplacian_parts_recombine():
 
 
 def test_laplacian_parts_reject_non_finite_sum():
-    from impnet import Branch, Network
     big = Element.capacitor(1e308)
     net = Network(2, (Branch(1, 2, big), Branch(1, 2, big)))
     with pytest.raises(ValidationError):

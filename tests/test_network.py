@@ -59,6 +59,20 @@ def test_branch_rejects_self_loop_and_bad_labels():
         Branch(0, 1, r)
     with pytest.raises(ValidationError):
         Branch(1.5, 2, r)
+    with pytest.raises(ValidationError):
+        Branch(True, 2, r)
+    with pytest.raises(ValidationError):
+        Branch(2, True, r)
+
+
+def test_numpy_integer_labels_and_node_count_accepted():
+    r = Element.resistor(1.0)
+    for t in (np.int64, np.int32):
+        br = Branch(t(1), t(2), r)
+        assert (br.node_a, br.node_b) == (1, 2)
+        assert type(br.node_a) is int and type(br.node_b) is int
+        net = Network(t(2), (br,))
+        assert net.node_count == 2 and type(net.node_count) is int
 
 
 # ── network validation ───────────────────────────────────────────────────
