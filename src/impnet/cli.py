@@ -167,6 +167,8 @@ def _impedance_json(r: ImpedanceResult) -> dict:
         "z_im": r.value.imag,
         "omega": r.omega,
         "resonant_mode_count": r.resonant_mode_count,
+        "near_resonance": r.near_resonance,
+        "min_abs_lambda": r.min_nontrivial_abs_lambda,
     }
     if r.status is ImpedanceStatus.RESONANT:
         doc["divergent_coefficient"] = r.divergent_coefficient

@@ -8,16 +8,20 @@ values lambda_a with
 Each pair is gauge free: {u e^{i tau}, lambda e^{2 i tau}} is an equally valid
 solution, so only gauge-invariant combinations of u and lambda are physical.
 
-With L = A + iB, u = x + iy and lambda real, the defining relation is the
-real symmetric eigenproblem H [x; y] = lambda [x; y] with
+When L = cM with M real symmetric and c = 1 or j, as for resistor
+networks (L real) and lossless LC networks (L = jB), every eigenpair
+(mu, v) of M is a pair u = sqrt(conj(c) sgn mu) v, lambda = |mu|, and one
+n x n real eigensolve yields the n orthonormal modes.  Otherwise, with
+L = A + iB, u = x + iy and lambda real, the defining relation is the real
+symmetric eigenproblem H [x; y] = lambda [x; y] with
 H = [[A, -B], [-B, -A]].  Its spectrum is +-|lambda_a|, each pair linked by
 [x; y] -> [-y; x] (u -> i u).  A positive eigenvector is real-orthogonal to
 every negative one, which makes the n positive eigenvectors
-complex-orthonormal factorization vectors, so one real eigensolve yields
-every mode with nonzero lambda, degenerate or not.  Only the numerically
-zero eigenspace holds both members of a pair: its 2k real eigenvectors,
-taken as (x + iy)/sqrt(2), are a tight frame of the k-dimensional zero
-space of L.
+complex-orthonormal factorization vectors, so one real eigensolve of
+order 2n yields every mode with nonzero lambda, degenerate or not.  Only
+the numerically zero eigenspace holds both members of a pair: its 2k real
+eigenvectors, taken as (x + iy)/sqrt(2), are a tight frame of the
+k-dimensional zero space of L.
 
 At a degenerate zero only that space is defined, not a basis of it, so
 everything read from the zero modes is a projection onto it, P0: the sum
@@ -26,15 +30,16 @@ basis or tight frame.  A pair couples to the zero space with strength
 ||P0 (e_p - e_q)||^2, and a Laplacian's zero space holds its trivial mode
 when ||P0 1|| / sqrt(n) >= 0.99.
 
-The eigensolve is LAPACK's, taken in its three steps: dsytrd reduces H to a
-tridiagonal T = Q^T H Q, dstevd (divide and conquer) solves T z = w z, and
-dormqr applies Q^T.  No mode v = Q z is back-transformed: takagi_rows, the
-one factorization route, applies Q^T to the 2m + 2 vectors that select m
-rows and their sums, and projects those onto the z, zero frame included.
-A pair query reads two rows in O(n^2); the all-pairs table reads all n in
-O(n^3).  takagi_decompose reads all n rows the same way, orthonormalizes
-the zero block to return a unitary u, and canonicalizes the gauge by
-rotating the largest component of every u_a onto the positive real axis.
+The eigensolve is LAPACK's, taken in its three steps: dsytrd reduces M or
+H to a tridiagonal T = Q^T A Q, dstevd (divide and conquer) solves
+T z = w z, and dormqr applies Q^T.  No mode v = Q z is back-transformed:
+takagi_rows, the one factorization route, applies Q^T to the vectors that
+select m rows and their sums, m + 1 of them for M and 2m + 2 for H, and
+projects those onto the z, zero frame included.  A pair query reads two
+rows in O(n^2); the all-pairs table reads all n in O(n^3).
+takagi_decompose reads all n rows the same way, orthonormalizes a zero
+frame to return a unitary u, and canonicalizes the gauge by rotating the
+largest component of every u_a onto the positive real axis.
 """
 
 from __future__ import annotations
@@ -95,26 +100,28 @@ class TakagiRows:
     """Result of takagi_rows: what an impedance query reads of the
     factorization.
 
-    The n + k columns, ascending in |lam| and in the eigensolver's gauge
-    (lam real and nonnegative), are the 2k columns (x + iy)/sqrt(2) of the
-    zero pairs, a tight frame of the k-dimensional zero space with lam = 0,
-    followed by the n - k live modes of takagi_decompose.
+    The columns are ascending in |lam| and in the eigensolver's gauge (lam
+    real and nonnegative).  When L is real or purely imaginary they are the
+    n modes of takagi_decompose, an orthonormal basis of the zero space
+    first.  Otherwise there are n + k: the 2k columns (x + iy)/sqrt(2) of
+    the zero pairs, a tight frame of the k-dimensional zero space with
+    lam = 0, followed by the n - k live modes.
 
     Attributes
     ----------
     order : int
         Matrix dimension n.
     rows : numpy.ndarray
-        (m, n + k) complex; rows[i, a] = u_a at nodes[i] for the m nodes
-        passed to takagi_rows.
+        (m, n) or (m, n + k) complex; rows[i, a] = u_a at nodes[i] for the
+        m nodes passed to takagi_rows.
     col_sums : numpy.ndarray
-        (n + k,) complex sums sum_i u_ai.
+        Complex sums sum_i u_ai, one per column.
     lam : numpy.ndarray
-        (n + k,) factorization values, zero on the frame columns.
+        Factorization values, one per column, zero on the zero columns.
     residual : float
         max_j of the 2-norm of T z_j - w_j z_j over the tridiagonal
-        eigenvectors of the columns, equal to the residual of H v_j up to
-        the rounding of the orthogonal Q.
+        eigenvectors of the columns, equal to the residual of M v_j or
+        H v_j up to the rounding of the orthogonal Q.
     """
 
     order: int
@@ -137,12 +144,14 @@ class ZeroModeClassification:
 
 
 class _Tridiagonal(NamedTuple):
-    """H = Q T Q^T and T z = z diag(w), w ascending.  T has diagonal d and
+    """A = Q T Q^T and T z = z diag(w), w ascending, for the real
+    symmetric A that takagi_rows reduces, M or H.  T has diagonal d and
     off-diagonal e; Q fixes the first coordinate and is held as dsytrd's
     reflectors, copied once into Fortran order so that every dormqr call
-    reads them in place.  w is symmetric about zero: its top n values are
-    the |lambda_a|, and the 2k middle columns of z, at the eigensolver noise
-    floor, span both members of each of the k zero pairs."""
+    reads them in place.  For H, w is symmetric about zero: its top n
+    values are the |lambda_a|, and the 2k middle columns of z, at the
+    eigensolver noise floor, span both members of each of the k zero
+    pairs."""
 
     w: np.ndarray
     z: np.ndarray
@@ -150,7 +159,6 @@ class _Tridiagonal(NamedTuple):
     e: np.ndarray
     reflectors: np.ndarray
     tau: np.ndarray
-    k: int
 
 
 def takagi_decompose(l: np.ndarray) -> TakagiDecomposition:
@@ -178,9 +186,9 @@ def takagi_decompose(l: np.ndarray) -> TakagiDecomposition:
         # The 2k zero pairs span the zero space twice over.  They are
         # real-orthogonal to every live eigenvector but complex-orthogonal
         # to the live modes only to about eps ||H|| / gap, which reaches
-        # 1e-7 when a live |lambda| sits near the zero floor (resistances
-        # spanning 1e+-5).  u must be unitary: project, then keep k
-        # orthonormal directions of what remains.
+        # 1e-7 when a live |lambda| sits near the zero floor (a network of
+        # rotated resistances spanning 1e+-5).  u must be unitary: project,
+        # then keep k orthonormal directions of what remains.
         zero = np.linalg.svd(
             zero - live @ (live.conj().T @ zero), full_matrices=False
         )[0][:, :k]
@@ -213,33 +221,55 @@ def takagi_rows(l: np.ndarray, nodes) -> TakagiRows:
     their values and column sums, in O(n^2 m) past the tridiagonal
     eigensolve for m nodes.
 
-    Each mode is v = Q z with u = v[:n] + i v[n:], so u_ap = (Q^T e_p)^T z
-    + i (Q^T e_{n+p})^T z, and the column sum is the same with the constant
-    functionals [1; 0] and [0; 1] in place of e_p and e_{n+p}.  The zero
-    space is read through the tight frame of its 2k pair vectors, so no
+    Each mode is v = Q z, and u_ap = (Q^T e_p)^T z up to the mode's phase;
+    the column sum is the same with the ones vector in place of e_p.  When
+    L = cM with M real and c = 1 or j (resistor or LC networks), M v = mu v
+    gives u = sqrt(conj(c) sgn mu) v and lambda = |mu|.  Otherwise u = v[:n]
+    + i v[n:] for the eigenvectors v of H, read through e_p and e_{n+p},
+    and the zero space through the tight frame of its 2k pair vectors.  No
     vector is back-transformed.  Accepts the input takagi_decompose accepts.
     """
     l = _check_symmetric(l)
     n = l.shape[0]
     m = len(nodes)
-    t = _tridiagonal_eig(l)
-    k = t.k
-    # s selects the entries at the nodes and the sum of an n-vector, so the
-    # columns of diag(s, s) select those of x, then of y, in [x; y]
+    # s selects the entries at the nodes and the sum of an n-vector
     s = np.zeros((n, m + 1))
     s[nodes, np.arange(m)] = 1.0
     s[:, m] = 1.0
-    g = _apply_q(t, np.kron(np.eye(2), s)).T @ t.z[:, n - k:]
-    modes = g[:m + 1] + 1j * g[m + 1:]
-    modes[:, :2 * k] /= math.sqrt(2.0)
-    lam = np.zeros(n + k)
-    lam[2 * k:] = t.w[n + k:]
+    reactive = bool(l.imag.any())
+    if n > 1 and not (reactive and l.real.any()):
+        # dstevd needs n > 1; a 1x1 L takes the embedding
+        t = _tridiagonal_eig(np.asfortranarray(l.imag if reactive else l.real))
+        order = np.argsort(np.abs(t.w), kind="stable")
+        mu = t.w[order]
+        # L = cM: u = sqrt(conj(c) sgn mu) v
+        conj_c = -1j if reactive else 1.0 + 0j
+        phase = np.sqrt(np.where(mu < 0.0, -1.0, 1.0) * conj_c)
+        modes = (_apply_q(t, s).T @ t.z[:, order]) * phase
+        lam = np.abs(mu)
+        lam[lam <= _zero_floor(mu, n)] = 0.0
+        first = 0
+    else:
+        h = np.empty((2 * n, 2 * n), order="F")
+        h[:n, :n] = l.real
+        h[:n, n:] = -l.imag
+        h[n:, :n] = -l.imag
+        h[n:, n:] = -l.real
+        t = _tridiagonal_eig(h)
+        k = int(np.count_nonzero(t.w[n:] <= _zero_floor(t.w, n)))
+        # the columns of diag(s, s) select those of x, then of y, in [x; y]
+        g = _apply_q(t, np.kron(np.eye(2), s)).T @ t.z[:, n - k:]
+        modes = g[:m + 1] + 1j * g[m + 1:]
+        modes[:, :2 * k] /= math.sqrt(2.0)
+        lam = np.zeros(n + k)
+        lam[2 * k:] = t.w[n + k:]
+        first = n - k
     return TakagiRows(
         order=n,
         rows=modes[:m],
         col_sums=modes[m],
         lam=lam,
-        residual=_tridiagonal_residual(t, n - k),
+        residual=_tridiagonal_residual(t, first),
     )
 
 
@@ -260,31 +290,30 @@ def _check_symmetric(l: np.ndarray) -> np.ndarray:
     return 0.5 * (l + l.T)
 
 
-def _tridiagonal_eig(l: np.ndarray) -> _Tridiagonal:
-    """dsytrd and dstevd on the real embedding H of L."""
-    n = l.shape[0]
-    h = np.empty((2 * n, 2 * n), order="F")
-    h[:n, :n] = l.real
-    h[:n, n:] = -l.imag
-    h[n:, :n] = -l.imag
-    h[n:, n:] = -l.real
+def _tridiagonal_eig(a: np.ndarray) -> _Tridiagonal:
+    """dsytrd and dstevd on a real symmetric Fortran-ordered matrix, which
+    is overwritten."""
     # the default workspace would select dsytrd's unblocked code
-    lwork, info = lapack.dsytrd_lwork(2 * n, lower=1)
+    lwork, info = lapack.dsytrd_lwork(a.shape[0], lower=1)
     _check_info("dsytrd_lwork", info)
     c, d, e, tau, info = lapack.dsytrd(
-        h, lower=1, lwork=int(lwork), overwrite_a=1
+        a, lower=1, lwork=int(lwork), overwrite_a=1
     )
     _check_info("dsytrd", info)
     w, z, info = lapack.dstevd(d, e)
     _check_info("dstevd", info)
-    zero_floor = 16.0 * n * _EPS * float(np.abs(w).max())
-    k = int(np.count_nonzero(w[n:] <= zero_floor))
-    # the reflectors of H(2:, 1:) sit below the subdiagonal of c
-    return _Tridiagonal(w, z, d, e, np.asfortranarray(c[1:, :-1]), tau, k)
+    # the reflectors of A(2:, 1:) sit below the subdiagonal of c
+    return _Tridiagonal(w, z, d, e, np.asfortranarray(c[1:, :-1]), tau)
+
+
+def _zero_floor(w: np.ndarray, n: int) -> float:
+    """The eigensolver noise floor of an order-n L, below which a computed
+    |lambda| is zero."""
+    return 16.0 * n * _EPS * float(np.abs(w).max())
 
 
 def _apply_q(t: _Tridiagonal, c: np.ndarray) -> np.ndarray:
-    """Q^T c, c real of shape (2n, m)."""
+    """Q^T c, c real with as many rows as the reduced matrix."""
     rest = np.asfortranarray(c[1:])
     lwork = lapack.dormqr("L", "T", t.reflectors, t.tau, rest, -1)[1][0]
     rest, _, info = lapack.dormqr(

@@ -63,6 +63,25 @@ def test_impedance_json(capsys, triangle_path):
     assert doc["z_im"] == pytest.approx(-math.sqrt(3.0), abs=1e-9)
     assert doc["omega"] == 1.0
     assert doc["resonant_mode_count"] == 0
+    # the conditioning evidence of the human and CSV formats: the triangle's
+    # |lambda| are 0, sqrt(2) - 1 and sqrt(2) + 1
+    assert doc["near_resonance"] is False
+    assert doc["min_abs_lambda"] == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-12)
+
+
+def test_impedance_json_near_resonance(capsys, ring_llc_path):
+    # The L-L-C ring detuned by 4e-5 from 1/sqrt(2): finite, but the
+    # smallest nontrivial |lambda| is within NEAR_RESONANCE_REL of the
+    # largest, as the human format warns.
+    omega = (1.0 / math.sqrt(2.0)) * (1.0 + 4e-5)
+    argv = ["impedance", ring_llc_path, "--pair", "1", "2", "--omega", repr(omega)]
+    assert main(argv) == 0
+    assert "warning: smallest nontrivial |lambda|" in capsys.readouterr().out
+    assert main([*argv, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "finite"
+    assert doc["near_resonance"] is True
+    assert 0.0 < doc["min_abs_lambda"] <= 1e-3
 
 
 def test_impedance_csv(capsys, triangle_path):
@@ -117,6 +136,8 @@ def test_impedance_resonant_json(capsys, lc_path):
     assert doc["status"] == "resonant"
     assert doc["resonant_mode_count"] == 1
     assert doc["divergent_coefficient"] == pytest.approx(2.0, rel=1e-9)
+    assert doc["near_resonance"] is False
+    assert doc["min_abs_lambda"] == 0.0
 
 
 def test_freq_is_omega_over_two_pi(capsys, triangle_path):

@@ -1,11 +1,13 @@
 """Two-point impedance from the factorization route."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from impnet import (
+    Boundary,
     Branch,
     Element,
     ElementKind,
@@ -15,6 +17,7 @@ from impnet import (
     SingularSystem,
     admittance_scale,
     assemble_laplacian,
+    branch_admittances,
     classify_zero_modes,
     grid_network,
     grid_resonances_analytic,
@@ -183,6 +186,24 @@ def test_matrix_agrees_with_single_queries(triangle):
             assert abs(table.value[p - 1, q - 1] - single.value) <= 1e-12
 
 
+def _mode_terms(net, omega, conditioned=False):
+    """(p, q) -> sum_a |u_ap - u_aq|^2 / |lambda_a| over the retained modes
+    of the full factorization: the scale of the rounding in a mode sum.
+    conditioned weights term a by max|lambda| / |lambda_a|, its first-order
+    sensitivity to a backward error of max|lambda|: the scale on which two
+    different eigensolves of L agree, which near a resonance is far above
+    the rounding of one mode sum."""
+    dec = takagi_decompose(assemble_laplacian(net, omega))
+    cls = classify_zero_modes(dec, admittance_scale(net, omega))
+    mags = np.abs(dec.lam)
+    top = float(mags.max())
+    mags[list(cls.zero_indices)] = np.inf
+    denom = mags * mags / top if conditioned else mags
+    return lambda p, q: float(
+        np.sum(np.abs(dec.u[p - 1] - dec.u[q - 1]) ** 2 / denom)
+    )
+
+
 def _assert_table_matches_queries(net, omega, pairs):
     # The table reads all n rows and a single query two rows of the same
     # eigensolve, each through its own application of Q^T.  A value is
@@ -193,19 +214,15 @@ def _assert_table_matches_queries(net, omega, pairs):
     # that does not couple to the resonant modes has a
     # divergent_coefficient of rounding noise, ~1e-30.
     table = impedance_matrix(net, omega)
-    dec = takagi_decompose(assemble_laplacian(net, omega))
-    cls = classify_zero_modes(dec, admittance_scale(net, omega))
-    mags = np.abs(dec.lam)
-    mags[list(cls.zero_indices)] = np.inf
+    terms = _mode_terms(net, omega)
     statuses = set()
     for p, q in pairs:
         s = two_point_impedance(net, omega, p, q)
         assert s.status is table.status, (omega, p, q)
         assert s.resonant_mode_count == table.resonant_mode_count, (omega, p, q)
         if table.status is ImpedanceStatus.FINITE:
-            terms = np.sum(np.abs(dec.u[p - 1] - dec.u[q - 1]) ** 2 / mags)
             t = table.value[p - 1, q - 1]
-            assert abs(s.value - t) <= 1e-12 * terms, (omega, p, q)
+            assert abs(s.value - t) <= 1e-12 * terms(p, q), (omega, p, q)
         else:
             assert s.divergent_coefficient == pytest.approx(
                 table.divergent_coefficient[p - 1, q - 1], rel=1e-9, abs=1e-20
@@ -285,28 +302,44 @@ def _count_factorization_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("case", ["grid10x10", "grid10x10-resonant", "rlcz120"])
+@pytest.mark.parametrize(
+    "case", ["grid10x10", "grid10x10-resonant", "res30", "rlcz120"]
+)
 def test_pair_query_back_transforms_two_rows(monkeypatch, case):
     # Deterministic guard on the cost of a pair query: no full
-    # decomposition, Q applied once to the six selector columns, and no SVD,
-    # also at a resonance, where the zero space is read through its frame.
+    # decomposition, Q^T applied once to the selector columns, and no SVD,
+    # also at a resonance.  An LC grid (L = jB) and a resistor network (L
+    # real) take the n x n real eigensolve: three columns (e_p, e_q and the
+    # ones vector) and n modes.  A network with both resistive and reactive
+    # parts takes the 2n x 2n embedding: six columns, and n + k modes that
+    # read the zero space through the tight frame of its 2k pair vectors.
     # A count, not a timing.
     if case == "rlcz120":
         net = random_connected_network(np.random.default_rng(120), 120, 120)
         omega = 1.3
+    elif case == "res30":
+        net = random_connected_network(
+            np.random.default_rng(30), 30, 30, kinds="R", decades=3.0
+        )
+        omega = 1.0
     else:
         net = grid_network(10, 10, 1.0, 1.0)
         omega = 1.0 if case.endswith("resonant") else 0.7
     calls = _count_factorization_calls(monkeypatch)
     r = two_point_impedance(net, omega, 1, net.node_count)
     assert calls["decompose"] == []
-    assert calls["columns"] == [6]
     assert calls["svd"] == []
     (dec,) = calls["rows"]
-    k = dec.lam.size - dec.order
-    assert np.count_nonzero(dec.lam == 0.0) == 2 * k
+    zeros = np.count_nonzero(dec.lam == 0.0)
+    if case == "rlcz120":
+        assert calls["columns"] == [6]
+        assert zeros == 2 * (dec.lam.size - dec.order)
+    else:
+        assert calls["columns"] == [3]
+        assert dec.lam.size == dec.order
+        assert zeros == r.resonant_mode_count + 1
     if case.endswith("resonant"):
-        assert r.status is ImpedanceStatus.RESONANT and k > 2
+        assert r.status is ImpedanceStatus.RESONANT and r.resonant_mode_count > 2
     lap = assemble_laplacian(net, omega)
     assert dec.residual <= 1e-14 * np.linalg.norm(lap, 2)
 
@@ -314,17 +347,18 @@ def test_pair_query_back_transforms_two_rows(monkeypatch, case):
 @pytest.mark.parametrize("omega", [0.7, 1.0])
 def test_table_reads_rows_in_one_back_transform(monkeypatch, omega):
     # The all-pairs table takes the route of a pair query with all n rows:
-    # no full decomposition, Q^T applied once to the 2n + 2 selector
-    # columns, and no SVD, off and at the free 10x10 grid's resonance.
+    # no full decomposition, Q^T applied once to the n + 1 selector columns
+    # of the LC grid's n x n eigensolve, and no SVD, off and at the free
+    # 10x10 grid's resonance.
     net = grid_network(10, 10, 1.0, 1.0)
     n = net.node_count
     calls = _count_factorization_calls(monkeypatch)
     table = impedance_matrix(net, omega)
     assert calls["decompose"] == []
-    assert calls["columns"] == [2 * n + 2]
+    assert calls["columns"] == [n + 1]
     assert calls["svd"] == []
     (dec,) = calls["rows"]
-    assert dec.rows.shape == (n, dec.lam.size)
+    assert dec.rows.shape == (n, n)
     assert table.value.shape == (n, n)
     want = ImpedanceStatus.RESONANT if omega == 1.0 else ImpedanceStatus.FINITE
     assert table.status is want
@@ -350,6 +384,98 @@ def test_divergent_coefficient_is_projection_onto_zero_space(p, q):
     assert abs(single.divergent_coefficient - want[p - 1, q - 1]) <= 1e-12
     assert table.divergent_coefficient.shape == want.shape
     assert np.abs(table.divergent_coefficient - want).max() <= 1e-12
+
+
+def _rotated(net, omega, theta=0.3):
+    """The network with every branch a Z element of impedance z_b e^{-i
+    theta}, z_b its impedance at omega: its Laplacian is e^{i theta} L(omega)
+    at any frequency, neither real nor purely imaginary."""
+    rot = cmath.exp(-1j * theta)
+    return Network(net.node_count, tuple(
+        Branch(br.node_a, br.node_b, Element.impedance(rot / y))
+        for br, y in zip(net.branches, branch_admittances(net, omega))
+    ))
+
+
+def _grid_omegas(m, boundary):
+    """The grid's closed-form resonances, each also detuned by +-1e-6."""
+    omegas = grid_resonances_analytic(m, m, 1.0, 1.0, boundary).omegas
+    return [w * (1.0 + d) for w in omegas for d in (0.0, 1e-6, -1e-6)]
+
+
+def test_rotated_network_takes_the_embedding_with_the_same_answers():
+    # An LC grid or a resistor network (L = jB or L real) takes the n x n
+    # real eigensolve; the same network rotated to e^{0.3 i} L takes the
+    # 2n x 2n embedding.  The rotation scales every Z by e^{-0.3 i} and
+    # changes nothing else, so the two routes must give the same verdicts
+    # and values with no switch between them.  The values are compared on
+    # the scale of the eigensolves' backward error: just off a resonance a
+    # mode with |lambda| ~ 1e-6 max|lambda| amplifies it, and the two routes
+    # differed by up to 4.2e-9 of sum |u_p - u_q|^2 / |lambda| but only
+    # 4.7e-16 of that sum weighted by max|lambda| / |lambda|.
+    rng = np.random.default_rng(7)
+    cases = [
+        (grid_network(8, 8, 1.0, 1.0), _grid_omegas(8, Boundary.FREE)),
+        (grid_network(6, 6, 1.0, 1.0, Boundary.TOROIDAL),
+         _grid_omegas(6, Boundary.TOROIDAL)),
+    ] + [
+        (random_connected_network(rng, 30, 30, kinds="R", decades=3.0), [1.0])
+        for _ in range(4)
+    ]
+    statuses = set()
+    for net, omegas in cases:
+        n = net.node_count
+        pairs = [(1, n), (1, 2), (2, n // 2 + 1)]
+        for omega in omegas:
+            rot = _rotated(net, omega)
+            assert takagi.takagi_rows(assemble_laplacian(net, omega), [0]).lam.size == n
+            assert takagi.takagi_rows(assemble_laplacian(rot, omega), [0]).lam.size > n
+            terms = _mode_terms(net, omega, conditioned=True)
+            for p, q in pairs:
+                r = two_point_impedance(net, omega, p, q)
+                s = two_point_impedance(rot, omega, p, q)
+                where = (n, omega, p, q)
+                assert s.status is r.status, where
+                assert s.resonant_mode_count == r.resonant_mode_count, where
+                assert s.near_resonance == r.near_resonance, where
+                if r.status is ImpedanceStatus.FINITE:
+                    z = cmath.exp(0.3j) * s.value
+                    assert abs(z - r.value) <= 1e-12 * terms(p, q), where
+                else:
+                    assert s.divergent_coefficient == pytest.approx(
+                        r.divergent_coefficient, rel=1e-9, abs=1e-20
+                    ), where
+                statuses.add(r.status)
+    assert statuses == {ImpedanceStatus.FINITE, ImpedanceStatus.RESONANT}
+
+
+def test_lossless_network_is_purely_reactive():
+    # The impedance of an L/C-only network is imaginary: L = jB with B real,
+    # so every mode is a real vector times e^{-+i pi/4} and every term
+    # (u_p - u_q)^2 / lambda is imaginary.  A finite value's real part may
+    # hold only rounding, measured against sum_a |u_ap - u_aq|^2 / |lambda_a|,
+    # also just off the grids' resonances.
+    queries = []
+    for m in (6, 8):
+        net = grid_network(m, m, 1.0, 1.0)
+        n = net.node_count
+        for w in grid_resonances_analytic(m, m, 1.0, 1.0).omegas:
+            for d in (1e-9, -1e-9, 1e-6):
+                queries += [(net, w * (1.0 + d), p, q)
+                            for p, q in ((1, n), (1, 2), (2, m + 3))]
+    rng = np.random.default_rng(2024)
+    for _ in range(80):
+        net = random_connected_network(rng, 3, 20, "LC", 2.0)
+        queries += [(net, float(10.0 ** rng.uniform(-2.0, 2.0)), 1, net.node_count)
+                    for _ in range(4)]
+    finite = 0
+    for net, omega, p, q in queries:
+        r = two_point_impedance(net, omega, p, q)
+        if r.status is ImpedanceStatus.FINITE:
+            finite += 1
+            bound = 1e-14 * _mode_terms(net, omega)(p, q)
+            assert abs(r.value.real) <= bound, (net.node_count, omega, p, q)
+    assert finite >= 0.9 * len(queries)
 
 
 # ── resonance reporting ──────────────────────────────────────────────────
@@ -401,12 +527,14 @@ def test_wide_spread_resistor_networks_never_resonant(decades):
     # A resistor-only network has no resonance however widely its values
     # spread: the zero rule is relative to the admittance scale, not to
     # max|lambda|.  At 1e+-5 the value is limited by eigensolver accuracy
-    # (worst seen 1.7e-6), so only the verdict is asserted there.
+    # (worst seen 1.7e-6), so only the verdict and a real value are
+    # asserted there.
     rng = np.random.default_rng(11)
     for trial in range(50):
         net = random_connected_network(rng, 30, 30, kinds="R", decades=decades)
         r = two_point_impedance(net, 1.0, 1, 30)
         assert r.status is ImpedanceStatus.FINITE, f"trial {trial}"
+        assert r.value.imag == 0.0, f"trial {trial}"
         if decades <= 3.0:
             d = solve_direct(net, 1.0, 1, 30)
             assert abs(r.value - d) <= 1e-8 * abs(d), f"trial {trial}"

@@ -91,12 +91,26 @@ def test_defining_relation_random_matrices():
     for trial in range(30):
         n = int(rng.integers(2, 17))
         l = random_symmetric(rng, n)
-        dec = takagi_decompose(l)
-        scale = np.linalg.norm(l)
-        assert _residual(l, dec) <= 1e-10 * scale, f"trial {trial}"
-        assert _unitarity(dec) <= 1e-10, f"trial {trial}"
-        assert np.all(np.diff(dec.sigma) >= 0.0)
-        assert np.abs(np.abs(dec.lam) ** 2 - dec.sigma).max() <= 1e-10 * scale ** 2
+        # a complex L takes the 2n x 2n embedding, a real or purely
+        # imaginary one the n x n real eigensolve
+        for m in (l, l.real.astype(complex), 1j * l.imag):
+            dec = takagi_decompose(m)
+            scale = np.linalg.norm(m)
+            assert _residual(m, dec) <= 1e-10 * scale, f"trial {trial}"
+            assert _unitarity(dec) <= 1e-10, f"trial {trial}"
+            assert np.all(np.diff(dec.sigma) >= 0.0)
+            assert np.abs(np.abs(dec.lam) ** 2 - dec.sigma).max() <= 1e-10 * scale ** 2
+
+
+@pytest.mark.parametrize("value", [2.0, -2.0, 2j, 2.0 + 1j])
+def test_one_by_one_matrix(value):
+    # LAPACK's dstevd wants order 2 or more, so a 1x1 matrix takes the
+    # embedding whatever its phase.
+    l = np.array([[value]], dtype=complex)
+    dec = takagi_decompose(l)
+    assert abs(dec.lam[0]) == pytest.approx(abs(value), rel=1e-15)
+    assert _residual(l, dec) <= 1e-15 * abs(value)
+    assert _unitarity(dec) <= 1e-15
 
 
 def test_reconstruction_from_modes():
@@ -181,17 +195,19 @@ def test_constructed_exact_degeneracy_mixed_phases():
 def test_wide_spread_resistor_networks():
     # Resistances spanning ten decades: every |lambda| must match the
     # singular values of L to the accuracy of one backward-stable solve,
-    # and the trivial mode must always be found.
+    # and the trivial mode must always be found, for L and for jL, which
+    # both take the n x n real eigensolve.
     rng = np.random.default_rng(2026)
     for trial in range(50):
         net = random_connected_network(rng, 30, 30, kinds="R", decades=5.0)
         lap = assemble_laplacian(net, 1.0)
-        dec = takagi_decompose(lap)
-        classify_zero_modes(dec, admittance_scale(net, 1.0))
-        mags = np.abs(dec.lam)
         want = np.sort(np.linalg.svd(lap, compute_uv=False))
-        assert np.abs(mags - want).max() <= 1e-12 * mags.max(), f"trial {trial}"
-        assert _unitarity(dec) <= 1e-12, f"trial {trial}"
+        for rot in (1.0, 1j):
+            dec = takagi_decompose(rot * lap)
+            classify_zero_modes(dec, admittance_scale(net, 1.0))
+            mags = np.abs(dec.lam)
+            assert np.abs(mags - want).max() <= 1e-12 * mags.max(), (trial, rot)
+            assert _unitarity(dec) <= 1e-12, (trial, rot)
 
 
 # ── error paths ──────────────────────────────────────────────────────────
