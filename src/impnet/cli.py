@@ -25,15 +25,15 @@ import math
 import sys
 
 from .direct import SingularSystem, solve_direct
-from .errors import ImpnetError
+from .errors import ImpnetError, ValidationError
 from .impedance import (
     NEAR_RESONANCE_REL, ImpedanceResult, ImpedanceStatus, impedance_matrix,
     two_point_impedance,
 )
-from .laplacian import check_angular_frequency
+from .laplacian import check_band
 from .network import (
-    Boundary, Element, check_pair, grid_network, parse_netlist, ring_network,
-    serialize_netlist,
+    Boundary, Element, ElementKind, check_pair, grid_network, make_element,
+    parse_netlist, ring_network, serialize_netlist,
 )
 from .resonance import find_resonances
 
@@ -67,52 +67,67 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="impnet", description="Circuit network impedance toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, run, help):
+        """The subcommand name, reading a netlist, that runs run(args)."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        p.add_argument("netlist")
+        return p
+
+    def add_pair(p, required=True):
+        p.add_argument("--pair", nargs=2, type=int, metavar=("P", "Q"),
+                       required=required)
+
     def add_omega(p):
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--omega", type=float, help="angular frequency in rad/s")
-        group.add_argument("--freq", type=float, help="frequency in Hz (omega = 2 pi f)")
+        group.add_argument("--freq", type=frequency, dest="omega", metavar="HZ",
+                           help="frequency in Hz (omega = 2 pi f)")
 
-    p_imp = sub.add_parser("impedance", help="two-point impedance at one frequency")
-    p_imp.add_argument("netlist")
-    p_imp.add_argument("--pair", nargs=2, type=int, required=True, metavar=("P", "Q"))
-    add_omega(p_imp)
-    p_imp.add_argument("--format", choices=("human", "json", "csv"), default="human")
+    def add_band(p):
+        p.add_argument("--omega-lo", type=float, required=True)
+        p.add_argument("--omega-hi", type=float, required=True)
 
-    p_sweep = sub.add_parser("sweep", help="impedance versus frequency as CSV")
-    p_sweep.add_argument("netlist")
-    p_sweep.add_argument("--pair", nargs=2, type=int, required=True, metavar=("P", "Q"))
-    p_sweep.add_argument("--omega-lo", type=float, required=True)
-    p_sweep.add_argument("--omega-hi", type=float, required=True)
-    p_sweep.add_argument("--points", type=int, required=True)
+    def add_format(p):
+        p.add_argument("--format", choices=("human", "json", "csv"), default="human")
 
-    p_res = sub.add_parser("resonances", help="every resonance frequency in a band")
-    p_res.add_argument("netlist")
-    p_res.add_argument("--omega-lo", type=float, required=True)
-    p_res.add_argument("--omega-hi", type=float, required=True)
-    p_res.add_argument(
+    imp = command("impedance", _cmd_impedance, "two-point impedance at one frequency")
+    add_pair(imp)
+    add_omega(imp)
+    add_format(imp)
+
+    sweep = command("sweep", _cmd_sweep, "impedance versus frequency as CSV")
+    add_pair(sweep)
+    add_band(sweep)
+    sweep.add_argument("--points", type=int, required=True)
+
+    res = command("resonances", _cmd_resonances, "every resonance frequency in a band")
+    add_band(res)
+    res.add_argument(
         "--points", type=int, help="ignored; accepted for older command lines"
     )
-    p_res.add_argument("--format", choices=("human", "json", "csv"), default="human")
+    add_format(res)
 
-    p_gen = sub.add_parser("generate", help="emit a generated netlist to stdout")
-    kind = p_gen.add_mutually_exclusive_group(required=True)
-    kind.add_argument("--ring", type=int, metavar="N")
-    kind.add_argument("--grid", metavar="MxN")
-    p_gen.add_argument("--z", metavar="RE,IM", help="uniform ring impedance")
-    p_gen.add_argument(
+    gen = sub.add_parser("generate", help="emit a generated netlist to stdout")
+    gen.set_defaults(run=_cmd_generate)
+    shape = gen.add_mutually_exclusive_group(required=True)
+    shape.add_argument("--ring", type=int, metavar="N")
+    shape.add_argument("--grid", metavar="MxN")
+    ring = gen.add_mutually_exclusive_group()
+    ring.add_argument("--z", metavar="RE,IM", help="uniform ring impedance")
+    ring.add_argument(
         "--elements", metavar="SPEC",
         help="ring elements, e.g. 'L:1.0,L:1.0,C:2.5' (Z:RE:IM for impedances)",
     )
-    p_gen.add_argument("--inductance", type=float, help="grid inductance in henries")
-    p_gen.add_argument("--capacitance", type=float, help="grid capacitance in farads")
-    p_gen.add_argument("--boundary", choices=("free", "toroidal"), default="free")
+    gen.add_argument("--inductance", type=float, help="grid inductance in henries")
+    gen.add_argument("--capacitance", type=float, help="grid capacitance in farads")
+    gen.add_argument("--boundary", choices=("free", "toroidal"), default="free")
 
-    p_check = sub.add_parser(
-        "check", help="cross-check factorization impedance against direct solve"
+    check = command(
+        "check", _cmd_check, "cross-check factorization impedance against direct solve"
     )
-    p_check.add_argument("netlist")
-    p_check.add_argument("--pair", nargs=2, type=int, metavar=("P", "Q"))
-    add_omega(p_check)
+    add_pair(check, required=False)
+    add_omega(check)
 
     return parser
 
@@ -124,23 +139,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "impedance":
-            return _cmd_impedance(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "resonances":
-            return _cmd_resonances(args)
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "check":
-            return _cmd_check(args)
-    except ImpnetError as exc:
+        return args.run(args)
+    except (ImpnetError, OSError) as exc:
         print(f"impnet: error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except OSError as exc:
-        print(f"impnet: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 def entry() -> None:
@@ -152,10 +154,9 @@ def _load_network(path: str):
         return parse_netlist(fh.read())
 
 
-def _omega_of(args) -> float:
-    if args.omega is not None:
-        return args.omega
-    return 2.0 * math.pi * args.freq
+def frequency(hz: str) -> float:
+    """The type of --freq: the angular frequency 2 pi f of f in Hz."""
+    return 2.0 * math.pi * float(hz)
 
 
 # ── impedance ────────────────────────────────────────────────────────────
@@ -186,7 +187,7 @@ def _csv_row(r: ImpedanceResult) -> str:
 def _cmd_impedance(args) -> int:
     net = _load_network(args.netlist)
     p, q = args.pair
-    r = two_point_impedance(net, _omega_of(args), p, q)
+    r = two_point_impedance(net, args.omega, p, q)
     if args.format == "json":
         print(json.dumps(_impedance_json(r)))
     elif args.format == "csv":
@@ -218,14 +219,9 @@ def _cmd_sweep(args) -> int:
     net = _load_network(args.netlist)
     p, q = args.pair
     check_pair(net, p, q)
-    lo = check_angular_frequency(args.omega_lo)
-    hi = check_angular_frequency(args.omega_hi)
-    if not lo < hi:
-        print("impnet: error: need --omega-lo < --omega-hi", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    lo, hi = check_band(args.omega_lo, args.omega_hi)
     if args.points < 2:
-        print("impnet: error: need at least 2 sweep points", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise ValidationError("need at least 2 sweep points")
     print("omega,z_re,z_im,min_abs_lambda,status")
     for w in np.geomspace(lo, hi, args.points):
         r = two_point_impedance(net, float(w), p, q)
@@ -262,60 +258,40 @@ def _cmd_resonances(args) -> int:
 
 # ── generate ─────────────────────────────────────────────────────────────
 
-def _parse_element_spec(token: str) -> Element:
-    parts = token.split(":")
-    kind = parts[0].strip().upper()
-    if kind == "Z":
-        if len(parts) != 3:
-            raise ValueError(f"impedance element must be Z:RE:IM, got {token!r}")
-        return Element.impedance(complex(float(parts[1]), float(parts[2])))
-    if len(parts) != 2:
-        raise ValueError(f"element must be KIND:VALUE, got {token!r}")
-    value = float(parts[1])
-    if kind == "R":
-        return Element.resistor(value)
-    if kind == "L":
-        return Element.inductor(value)
-    if kind == "C":
-        return Element.capacitor(value)
-    raise ValueError(f"unknown element kind {kind!r} in {token!r}")
+def _ring_element(option: str, token: str, fields: list[str]) -> Element:
+    """make_element(kind, values) of fields [kind, *values], kind in any case."""
+    try:
+        return make_element(fields[0].strip().upper(), fields[1:])
+    except ImpnetError as exc:
+        raise ValidationError(f"{option} {token!r}: {exc}") from None
 
 
 def _cmd_generate(args) -> int:
     if args.ring is not None:
+        if args.inductance is not None or args.capacitance is not None:
+            raise ValidationError("--ring takes no --inductance or --capacitance")
         if args.z is not None:
-            try:
-                re_s, im_s = args.z.split(",")
-                z = complex(float(re_s), float(im_s))
-            except ValueError:
-                print(f"impnet: error: --z expects RE,IM, got {args.z!r}",
-                      file=sys.stderr)
-                return EXIT_INPUT_ERROR
-            elements = [Element.impedance(z)] * args.ring
+            impedance = ElementKind.IMPEDANCE.value
+            elements = [_ring_element("--z", args.z, [impedance, *args.z.split(",")])]
+            elements *= args.ring
         elif args.elements is not None:
-            try:
-                elements = [
-                    _parse_element_spec(tok) for tok in args.elements.split(",")
-                ]
-            except ValueError as exc:
-                print(f"impnet: error: {exc}", file=sys.stderr)
-                return EXIT_INPUT_ERROR
+            elements = [
+                _ring_element("--elements", tok, tok.split(":"))
+                for tok in args.elements.split(",")
+            ]
         else:
-            print("impnet: error: --ring needs --z or --elements", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+            raise ValidationError("--ring needs --z or --elements")
         net = ring_network(args.ring, elements)
     else:
+        if args.z is not None or args.elements is not None:
+            raise ValidationError("--grid takes no --z or --elements")
         try:
             m_s, n_s = args.grid.lower().split("x")
             m, n = int(m_s), int(n_s)
         except ValueError:
-            print(f"impnet: error: --grid expects MxN, got {args.grid!r}",
-                  file=sys.stderr)
-            return EXIT_INPUT_ERROR
+            raise ValidationError(f"--grid expects MxN, got {args.grid!r}") from None
         if args.inductance is None or args.capacitance is None:
-            print("impnet: error: --grid needs --inductance and --capacitance",
-                  file=sys.stderr)
-            return EXIT_INPUT_ERROR
+            raise ValidationError("--grid needs --inductance and --capacitance")
         net = grid_network(
             m, n, args.inductance, args.capacitance, Boundary(args.boundary)
         )
@@ -327,7 +303,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_check(args) -> int:
     net = _load_network(args.netlist)
-    omega = _omega_of(args)
+    omega = args.omega
     if args.pair is not None:
         pairs = [tuple(args.pair)]
         s = two_point_impedance(net, omega, *pairs[0])

@@ -35,6 +35,14 @@ def check_angular_frequency(omega: float) -> float:
     return w
 
 
+def check_band(omega_lo: float, omega_hi: float) -> tuple[float, float]:
+    """Validate a band of angular frequencies: both valid and lo < hi."""
+    lo, hi = check_angular_frequency(omega_lo), check_angular_frequency(omega_hi)
+    if not lo < hi:
+        raise ValidationError(f"need omega_lo < omega_hi, got ({lo}, {hi})")
+    return lo, hi
+
+
 # Globals: several times cheaper than ElementKind's attributes in a loop.
 _INDUCTOR, _CAPACITOR = ElementKind.INDUCTOR, ElementKind.CAPACITOR
 

@@ -204,50 +204,27 @@ def parse_netlist(text: str) -> Network:
     node_count = None
     branches: list[Branch] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
-        if node_count is None:
-            if tokens[0] != "NET":
-                raise NetlistSyntaxError(
-                    lineno, f"expected 'NET <node_count>' header, got {tokens[0]!r}"
-                )
-            if len(tokens) != 2:
-                raise NetlistSyntaxError(lineno, "header must be 'NET <node_count>'")
-            node_count = _parse_int(tokens[1], lineno, "node count")
-            if node_count < 1:
-                raise ValidationError(f"line {lineno}: node count must be >= 1")
-            continue
-        kind_token = tokens[0]
-        if kind_token in ("R", "L", "C"):
-            if len(tokens) != 4:
-                raise NetlistSyntaxError(
-                    lineno, f"{kind_token} line must be '{kind_token} <a> <b> <value>'"
-                )
-            a = _parse_int(tokens[1], lineno, "node label")
-            b = _parse_int(tokens[2], lineno, "node label")
-            value = _parse_float(tokens[3], lineno)
-            element = _make_element(ElementKind(kind_token), value, lineno)
-        elif kind_token == "Z":
-            if len(tokens) != 5:
-                raise NetlistSyntaxError(lineno, "Z line must be 'Z <a> <b> <re> <im>'")
-            a = _parse_int(tokens[1], lineno, "node label")
-            b = _parse_int(tokens[2], lineno, "node label")
-            re = _parse_float(tokens[3], lineno)
-            im = _parse_float(tokens[4], lineno)
-            element = _make_element(ElementKind.IMPEDANCE, complex(re, im), lineno)
-        else:
-            raise NetlistSyntaxError(
-                lineno, f"unknown element kind {kind_token!r} (expected R, L, C, or Z)"
-            )
-        if a > node_count or b > node_count:
-            raise ValidationError(
-                f"line {lineno}: branch ({a}, {b}) references a node outside "
-                f"1..{node_count}"
-            )
         try:
+            if node_count is None:
+                if tokens[0] != "NET" or len(tokens) != 2:
+                    raise NetlistSyntaxError(None, "header must be 'NET <node_count>'")
+                node_count = _parse(int, tokens[1], "node count")
+                if node_count < 1:
+                    raise ValidationError("node count must be >= 1")
+                continue
+            element = make_element(tokens[0], tokens[3:])
+            a = _parse(int, tokens[1], "node label")
+            b = _parse(int, tokens[2], "node label")
+            if a > node_count or b > node_count:
+                raise ValidationError(
+                    f"branch ({a}, {b}) references a node outside 1..{node_count}"
+                )
             branches.append(Branch(a, b, element))
+        except NetlistSyntaxError as exc:
+            raise NetlistSyntaxError(lineno, exc.reason) from None
         except ValidationError as exc:
             raise ValidationError(f"line {lineno}: {exc}") from None
     if node_count is None:
@@ -255,28 +232,31 @@ def parse_netlist(text: str) -> Network:
     return Network(node_count, tuple(branches))
 
 
-def _parse_int(token: str, lineno: int, what: str) -> int:
+# Value tokens after each kind letter: R, L and C take their value, Z its
+# real and imaginary parts.
+_VALUE_COUNT = {"R": 1, "L": 1, "C": 1, "Z": 2}
+_KINDS = {kind.value: kind for kind in ElementKind}
+
+
+def make_element(kind: str, values) -> Element:
+    """The Element of kind letter R, L, C or Z from its value tokens, as on a
+    netlist line.  Bad tokens raise NetlistSyntaxError without a line number,
+    values that Element rejects ValidationError."""
+    count = _VALUE_COUNT.get(kind)
+    if count is None:
+        raise NetlistSyntaxError(None, f"element kind {kind!r} is not R, L, C or Z")
+    if len(values) != count:
+        raise NetlistSyntaxError(None, f"{kind} takes {count} value(s), got {values}")
+    numbers = [_parse(float, v, "numeric value") for v in values]
+    return Element(_KINDS[kind], complex(*numbers) if count == 2 else numbers[0])
+
+
+def _parse(convert, token: str, what: str):
+    """convert(token), or a NetlistSyntaxError naming the bad token."""
     try:
-        return int(token)
+        return convert(token)
     except ValueError:
-        raise NetlistSyntaxError(lineno, f"bad {what} {token!r}") from None
-
-
-def _parse_float(token: str, lineno: int) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise NetlistSyntaxError(lineno, f"bad numeric value {token!r}") from None
-    if not math.isfinite(value):
-        raise ValidationError(f"line {lineno}: values must be finite, got {token!r}")
-    return value
-
-
-def _make_element(kind: ElementKind, value, lineno: int) -> Element:
-    try:
-        return Element(kind, value)
-    except ValidationError as exc:
-        raise ValidationError(f"line {lineno}: {exc}") from None
+        raise NetlistSyntaxError(None, f"bad {what} {token!r}") from None
 
 
 def serialize_netlist(net: Network) -> str:
@@ -287,14 +267,9 @@ def serialize_netlist(net: Network) -> str:
     """
     lines = [f"NET {net.node_count}"]
     for br in net.branches:
-        e = br.element
-        if e.kind is ElementKind.IMPEDANCE:
-            z = e.value
-            lines.append(
-                f"Z {br.node_a} {br.node_b} {_fmt(z.real)} {_fmt(z.imag)}"
-            )
-        else:
-            lines.append(f"{e.kind.value} {br.node_a} {br.node_b} {_fmt(e.value)}")
+        kind, v = br.element.kind.value, br.element.value
+        values = (v.real, v.imag)[:_VALUE_COUNT[kind]]  # R, L, C: v.real is v
+        lines.append(f"{kind} {br.node_a} {br.node_b} " + " ".join(map(_fmt, values)))
     return "\n".join(lines) + "\n"
 
 
@@ -303,6 +278,24 @@ def _fmt(x: float) -> str:
 
 
 # ── generators ───────────────────────────────────────────────────────────
+
+def check_ring_size(n: int) -> None:
+    """Raise ValidationError unless a ring of n nodes has at least 3."""
+    if n < 3:
+        raise ValidationError(f"ring needs at least 3 nodes, got {n}")
+
+
+def check_grid(
+    m: int, n: int, inductance: float, capacitance: float, boundary: Boundary
+) -> tuple[Element, Element]:
+    """The inductor and capacitor of a valid m-by-n grid; ValidationError
+    unless m, n >= 2, boundary is a Boundary and Element takes both values."""
+    if m < 2 or n < 2:
+        raise ValidationError(f"grid dimensions must be >= 2, got ({m}, {n})")
+    if not isinstance(boundary, Boundary):
+        raise ValidationError(f"bad boundary {boundary!r}")
+    return Element.inductor(inductance), Element.capacitor(capacitance)
+
 
 def ring_network(n: int, elements) -> Network:
     """Ring of n nodes where element k joins nodes k and k+1 (n joins 1).
@@ -314,8 +307,7 @@ def ring_network(n: int, elements) -> Network:
     elements : sequence of Element
         Exactly n elements, one per ring edge, in edge order.
     """
-    if n < 3:
-        raise ValidationError(f"ring needs at least 3 nodes, got {n}")
+    check_ring_size(n)
     elements = list(elements)
     if len(elements) != n:
         raise ValidationError(
@@ -351,12 +343,7 @@ def grid_network(
     boundary : Boundary
         FREE (default) or TOROIDAL.
     """
-    if m < 2 or n < 2:
-        raise ValidationError(f"grid dimensions must be >= 2, got ({m}, {n})")
-    if not isinstance(boundary, Boundary):
-        raise ValidationError(f"bad boundary {boundary!r}")
-    cap = Element.capacitor(capacitance)
-    ind = Element.inductor(inductance)
+    ind, cap = check_grid(m, n, inductance, capacitance, boundary)
 
     def node(x: int, y: int) -> int:
         return x * n + y + 1

@@ -32,9 +32,12 @@ from .laplacian import (
     _constant_complement,
     assemble_laplacian,
     check_angular_frequency,
+    check_band,
     laplacian_parts,
 )
-from .network import Boundary, Element, ElementKind, Network, ring_network
+from .network import (
+    Boundary, ElementKind, Network, check_grid, check_ring_size, ring_network,
+)
 
 # Two detected frequencies within this relative distance are one resonance.
 MERGE_REL_TOL = 1e-9
@@ -87,21 +90,14 @@ def grid_resonances_analytic(
     sqrt(L C) for i in 1..m-1, j in 1..n-1 (i runs along the capacitor
     direction, j along the inductor direction); toroidal boundaries replace
     the half angles with full angles i pi / m and j pi / n.  Values are
-    merged within MERGE_REL_TOL; raw_count keeps the unmerged tally.
+    merged within MERGE_REL_TOL; raw_count keeps the unmerged tally.  The
+    arguments are checked as grid_network checks them.
     """
-    if m < 2 or n < 2:
-        raise ValidationError(f"grid dimensions must be >= 2, got ({m}, {n})")
-    if not (inductance > 0 and capacitance > 0):
-        raise ValidationError("inductance and capacitance must be positive")
-    if not isinstance(boundary, Boundary):
-        raise ValidationError(f"bad boundary {boundary!r}")
-    base = 1.0 / math.sqrt(inductance * capacitance)
-    if boundary is Boundary.FREE:
-        den = [math.sin(i * math.pi / (2 * m)) for i in range(1, m)]
-        num = [math.sin(j * math.pi / (2 * n)) for j in range(1, n)]
-    else:
-        den = [math.sin(i * math.pi / m) for i in range(1, m)]
-        num = [math.sin(j * math.pi / n) for j in range(1, n)]
+    ind, cap = check_grid(m, n, inductance, capacitance, boundary)
+    base = 1.0 / (math.sqrt(ind.value) * math.sqrt(cap.value))
+    half = 2 if boundary is Boundary.FREE else 1
+    den = [math.sin(i * math.pi / (half * m)) for i in range(1, m)]
+    num = [math.sin(j * math.pi / (half * n)) for j in range(1, n)]
     raw = sorted(abs(sj / si) * base for si in den for sj in num)
     merged = _merge_sorted(raw)
     return ResonanceReport(
@@ -122,7 +118,9 @@ class RingReactanceCheck:
     is_resonant: bool
 
 
-def _reactances(elements, omega: float) -> list[float]:
+def _reactances(elements, omega: float) -> tuple[list[float], float, float]:
+    """Reactances of a ring's elements at omega, their sum and the sum of
+    their magnitudes."""
     w = check_angular_frequency(omega)
     xs = []
     for e in elements:
@@ -135,7 +133,8 @@ def _reactances(elements, omega: float) -> list[float]:
                 "ring reactance checks need inductors and capacitors only, "
                 f"got {e.kind.name.lower()}"
             )
-    return xs
+    check_ring_size(len(xs))
+    return xs, math.fsum(xs), math.fsum(abs(x) for x in xs)
 
 
 def ring_reactance_resonance_check(elements, omega: float) -> RingReactanceCheck:
@@ -145,9 +144,7 @@ def ring_reactance_resonance_check(elements, omega: float) -> RingReactanceCheck
     sum(x_k) = 0; numerically the sum is compared against 1e-9 of the sum of
     magnitudes.
     """
-    xs = _reactances(elements, omega)
-    total = math.fsum(xs)
-    scale = math.fsum(abs(x) for x in xs)
+    _, total, scale = _reactances(elements, omega)
     return RingReactanceCheck(
         reactance_sum=total,
         is_resonant=abs(total) <= 1e-9 * scale,
@@ -164,10 +161,8 @@ def eigenvalue_product_identity_check(elements, omega: float) -> float:
     returned.  Within 1e-8 of the sum-rule zero the identity compares two
     vanishing quantities and NearSingularError is raised instead.
     """
-    xs = _reactances(elements, omega)
+    xs, total, scale = _reactances(elements, omega)
     n = len(xs)
-    total = math.fsum(xs)
-    scale = math.fsum(abs(x) for x in xs)
     if abs(total) <= 1e-8 * scale:
         raise NearSingularError(
             "reactance sum is within 1e-8 of zero; identity check is "
@@ -223,10 +218,7 @@ def find_resonances(
     computed to about sqrt(eps), are reported when they lie in the range
     (near 1e-8 for the 8x8 free grid with L = C = 1).
     """
-    lo = check_angular_frequency(omega_lo)
-    hi = check_angular_frequency(omega_hi)
-    if not lo < hi:
-        raise ValidationError(f"need omega_lo < omega_hi, got ({lo}, {hi})")
+    lo, hi = check_band(omega_lo, omega_hi)
     pencil = _balance(*laplacian_parts(net))
     if pencil is None:
         return ResonanceReport((), (), DetectionMethod.PENCIL, 0, 0, 0)

@@ -395,6 +395,72 @@ def test_generate_rejects_bad_specs(capsys):
     assert main(["generate", "--grid", "3x3"]) == 1
 
 
+# The exact stderr of every generate and sweep input error; each names
+# the offending option or token.
+@pytest.mark.parametrize("argv, err", [
+    (["generate", "--ring", "3", "--z", "nonsense"],
+     "--z 'nonsense': Z takes 2 value(s), got ['nonsense']"),
+    (["generate", "--ring", "3", "--z", "1,x"],
+     "--z '1,x': bad numeric value 'x'"),
+    (["generate", "--ring", "3", "--z", "0,0"],
+     "--z '0,0': fixed impedance must be nonzero"),
+    (["generate", "--grid", "3y3", "--inductance", "1", "--capacitance", "1"],
+     "--grid expects MxN, got '3y3'"),
+    (["generate", "--grid", "3x3", "--inductance", "1"],
+     "--grid needs --inductance and --capacitance"),
+    (["generate", "--ring", "3"], "--ring needs --z or --elements"),
+    (["generate", "--ring", "3", "--elements", "Q:1,L:1,C:1"],
+     "--elements 'Q:1': element kind 'Q' is not R, L, C or Z"),
+    (["generate", "--ring", "3", "--elements", "L:1:2,L:1,C:1"],
+     "--elements 'L:1:2': L takes 1 value(s), got ['1', '2']"),
+    (["generate", "--ring", "3", "--elements", "Z:1,L:1,C:1"],
+     "--elements 'Z:1': Z takes 2 value(s), got ['1']"),
+    (["generate", "--ring", "3", "--elements", "L:x,L:1,C:1"],
+     "--elements 'L:x': bad numeric value 'x'"),
+    (["generate", "--ring", "3", "--elements", "L:-1,L:1,C:1"],
+     "--elements 'L:-1': inductor value must be positive and finite, got -1.0"),
+    (["sweep", "LC", "--pair", "1", "2", "--omega-lo", "2", "--omega-hi", "0.5",
+      "--points", "3"], "need omega_lo < omega_hi, got (2.0, 0.5)"),
+    (["sweep", "LC", "--pair", "1", "2", "--omega-lo", "1", "--omega-hi", "1",
+      "--points", "3"], "need omega_lo < omega_hi, got (1.0, 1.0)"),
+    (["sweep", "LC", "--pair", "1", "2", "--omega-lo", "0.5", "--omega-hi", "2",
+      "--points", "1"], "need at least 2 sweep points"),
+])
+def test_input_error_messages(capsys, lc_path, argv, err):
+    argv = [lc_path if a == "LC" else a for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"impnet: error: {err}\n"
+
+
+def test_generate_kind_letter_is_case_insensitive(capsys):
+    assert main(["generate", "--ring", "3", "--elements", "l:1,L:1,c:1"]) == 0
+    net = parse_netlist(capsys.readouterr().out)
+    assert [br.element for br in net.branches] == [
+        Element.inductor(1.0), Element.inductor(1.0), Element.capacitor(1.0),
+    ]
+
+
+@pytest.mark.parametrize("argv, options", [
+    (["--ring", "3", "--z", "1,0", "--elements", "R:5,R:5,R:5"],
+     ("--z", "--elements")),
+    (["--ring", "3", "--z", "1,0", "--inductance", "1"], ("--ring", "--inductance")),
+    (["--ring", "3", "--elements", "R:5,R:5,R:5", "--capacitance", "1"],
+     ("--ring", "--capacitance")),
+    (["--grid", "2x2", "--inductance", "1", "--capacitance", "1", "--z", "1,0"],
+     ("--grid", "--z")),
+    (["--grid", "2x2", "--inductance", "1", "--capacitance", "1",
+      "--elements", "R:5,R:5,R:5,R:5"], ("--grid", "--elements")),
+])
+def test_generate_rejects_conflicting_options(capsys, argv, options):
+    assert main(["generate", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert "error:" in last and all(option in last for option in options)
+
+
 def test_generate_round_trips_through_impedance(capsys, tmp_path):
     main(["generate", "--ring", "3", "--elements", "R:1,R:1,R:1"])
     text = capsys.readouterr().out

@@ -67,6 +67,20 @@ def test_grid_analytic_validation():
         grid_resonances_analytic(3, 3, 0.0, 1.0)
 
 
+
+def test_grid_analytic_follows_grid_network_rules():
+    # the closed form takes exactly the L and C that grid_network takes
+    for bad in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValidationError):
+            grid_network(3, 3, bad, 1.0)
+        with pytest.raises(ValidationError):
+            grid_resonances_analytic(3, 3, bad, 1.0)
+    # L C = 1e400 overflows, but 1 / sqrt(L C) = 1e-200 does not
+    grid_network(3, 3, 1e200, 1e200)
+    base = grid_resonances_analytic(3, 3, 1.0, 1.0).omegas
+    huge = grid_resonances_analytic(3, 3, 1e200, 1e200).omegas
+    assert np.allclose(np.array(huge) * 1e200, base, rtol=1e-14)
+
 # ── pencil agrees with closed forms ───────────────────────────────────────
 
 @pytest.mark.parametrize("shape", [(3, 2), (3, 3), (4, 3)])
@@ -240,6 +254,17 @@ def test_ring_sum_rule_detects_resonance():
 def test_ring_sum_rule_rejects_non_reactance():
     with pytest.raises(ValidationError):
         ring_reactance_resonance_check([Element.resistor(1.0)] * 3, 1.0)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2])
+def test_ring_checks_need_three_elements(size):
+    elements = [Element.inductor(1.0), Element.capacitor(1.0)][:size]
+    with pytest.raises(ValidationError, match="ring needs at least 3 nodes"):
+        ring_network(size, elements)
+    with pytest.raises(ValidationError, match="ring needs at least 3 nodes"):
+        ring_reactance_resonance_check(elements, 1.0)
+    with pytest.raises(ValidationError, match="ring needs at least 3 nodes"):
+        eigenvalue_product_identity_check(elements, 1.0)
 
 
 def test_sum_rule_agrees_with_sweep():
