@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gen.add_argument("--inductance", type=float, help="grid inductance in henries")
     gen.add_argument("--capacitance", type=float, help="grid capacitance in farads")
-    gen.add_argument("--boundary", choices=("free", "toroidal"), default="free")
+    gen.add_argument("--boundary", choices=("free", "toroidal"), help="default free")
 
     check = command(
         "check", _cmd_check, "cross-check factorization impedance against direct solve"
@@ -268,8 +268,9 @@ def _ring_element(option: str, token: str, fields: list[str]) -> Element:
 
 def _cmd_generate(args) -> int:
     if args.ring is not None:
-        if args.inductance is not None or args.capacitance is not None:
-            raise ValidationError("--ring takes no --inductance or --capacitance")
+        if {args.inductance, args.capacitance, args.boundary} != {None}:
+            raise ValidationError(
+                "--ring takes no --inductance, --capacitance or --boundary")
         if args.z is not None:
             impedance = ElementKind.IMPEDANCE.value
             elements = [_ring_element("--z", args.z, [impedance, *args.z.split(",")])]
@@ -293,7 +294,7 @@ def _cmd_generate(args) -> int:
         if args.inductance is None or args.capacitance is None:
             raise ValidationError("--grid needs --inductance and --capacitance")
         net = grid_network(
-            m, n, args.inductance, args.capacitance, Boundary(args.boundary)
+            m, n, args.inductance, args.capacitance, Boundary(args.boundary or "free")
         )
     sys.stdout.write(serialize_netlist(net))
     return EXIT_OK

@@ -1,23 +1,24 @@
 """Direct Kirchhoff solver, used as the independent cross-check route.
 
 Ground node q, inject one ampere at node p, solve the reduced (n-1) node
-system by dense LU with partial pivoting, and read the impedance off V_p.
+system by LAPACK's zgetrf (dense LU with partial pivoting) and zgetrs, and
+read the impedance off V_p.
 This route shares no code with the factorization path beyond Laplacian
 assembly, so agreement between the two is a meaningful end-to-end check.
 
 A vanishing pivot (relative to the uncancelled admittance scale of the
 network, which stays finite even when the Laplacian itself cancels at a
 resonance) yields the SingularSystem verdict as a value, not an exception:
-for a physical network it is the direct solver's view of a resonance.
+for a physical network it is the direct solver's view of a resonance.  An
+exactly zero pivot (zgetrf's info > 0) is the case pivot_min = 0.0.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .laplacian import (
     SINGULAR_REL_TOL, admittance_scale, assemble_laplacian, check_angular_frequency,
@@ -49,23 +50,17 @@ def solve_node_potentials(
     """
     w = check_angular_frequency(omega)
     p, q = check_pair(net, p, q)
-    g = q - 1
+    kept = np.arange(net.node_count) != q - 1
     lap = assemble_laplacian(net, w)
-    reduced = np.delete(np.delete(lap, g, axis=0), g, axis=1)
-    rhs = np.zeros(net.node_count - 1, dtype=complex)
-    rhs[p - 1 if p < q else p - 2] = 1.0
-    with warnings.catch_warnings():
-        # exact singularity surfaces as a LinAlgWarning; the pivot test below
-        # is the authoritative verdict
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(reduced)
-    pivots = np.abs(np.diag(lu))
+    lu, piv, _ = lapack.zgetrf(np.asarray_chkfinite(lap[np.ix_(kept, kept)]))
     scale = admittance_scale(net, w)
-    pivot_min = float(pivots.min())
+    pivot_min = float(np.abs(np.diag(lu)).min())
     if pivot_min <= SINGULAR_REL_TOL * scale:
         return SingularSystem(ground=q, pivot_min=pivot_min, scale=scale)
-    x = scipy.linalg.lu_solve((lu, piv), rhs)
-    return np.insert(x, g, 0.0)
+    v = np.zeros(net.node_count, dtype=complex)
+    v[p - 1] = 1.0
+    v[kept] = lapack.zgetrs(lu, piv, v[kept])[0]
+    return v
 
 
 def solve_direct(

@@ -95,6 +95,8 @@ def grid_resonances_analytic(
     """
     ind, cap = check_grid(m, n, inductance, capacitance, boundary)
     base = 1.0 / (math.sqrt(ind.value) * math.sqrt(cap.value))
+    if not math.isfinite(base):
+        raise ValidationError(f"base frequency 1/sqrt(L C) = {base!r} is not finite")
     half = 2 if boundary is Boundary.FREE else 1
     den = [math.sin(i * math.pi / (half * m)) for i in range(1, m)]
     num = [math.sin(j * math.pi / (half * n)) for j in range(1, n)]
@@ -161,6 +163,7 @@ def eigenvalue_product_identity_check(elements, omega: float) -> float:
     returned.  Within 1e-8 of the sum-rule zero the identity compares two
     vanishing quantities and NearSingularError is raised instead.
     """
+    elements = list(elements)
     xs, total, scale = _reactances(elements, omega)
     n = len(xs)
     if abs(total) <= 1e-8 * scale:
@@ -168,7 +171,7 @@ def eigenvalue_product_identity_check(elements, omega: float) -> float:
             "reactance sum is within 1e-8 of zero; identity check is "
             "ill-conditioned this close to resonance"
         )
-    net = ring_network(n, list(elements))
+    net = ring_network(n, elements)
     lap = assemble_laplacian(net, omega)
     minor = lap[1:, 1:]
     product = n * complex(np.linalg.det(minor))

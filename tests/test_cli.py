@@ -282,6 +282,19 @@ def test_resonances_human(capsys, lc_path):
     assert "distinct resonances: 1" in out
 
 
+def test_resonances_csv(capsys, tmp_path):
+    p = tmp_path / "grid.net"
+    p.write_text(serialize_netlist(grid_network(3, 2, 1.0, 1.0)))
+    argv = ["resonances", str(p), "--omega-lo", "0.1", "--omega-hi", "10"]
+    assert main([*argv, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert main([*argv, "--format", "csv"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "omega,residual"
+    assert len(rows) == doc["distinct_count"] == 2
+    assert [float(row.split(",")[0]) for row in rows] == doc["omegas"]
+
+
 def test_resonances_none_found(capsys, tmp_path):
     p = tmp_path / "r.net"
     p.write_text("NET 2\nR 1 2 5.0\n")
@@ -452,6 +465,7 @@ def test_generate_kind_letter_is_case_insensitive(capsys):
      ("--grid", "--z")),
     (["--grid", "2x2", "--inductance", "1", "--capacitance", "1",
       "--elements", "R:5,R:5,R:5,R:5"], ("--grid", "--elements")),
+    (["--ring", "3", "--z", "1,0", "--boundary", "toroidal"], ("--ring", "--boundary")),
 ])
 def test_generate_rejects_conflicting_options(capsys, argv, options):
     assert main(["generate", *argv]) == 1

@@ -2,6 +2,7 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -80,6 +81,14 @@ def test_grid_analytic_follows_grid_network_rules():
     base = grid_resonances_analytic(3, 3, 1.0, 1.0).omegas
     huge = grid_resonances_analytic(3, 3, 1e200, 1e200).omegas
     assert np.allclose(np.array(huge) * 1e200, base, rtol=1e-14)
+
+
+def test_grid_analytic_rejects_overflowing_base_frequency():
+    # grid_network takes subnormal L and C, but 1 / (sqrt(L) sqrt(C)) overflows
+    grid_network(3, 3, 5e-324, 5e-324)
+    with pytest.raises(ValidationError, match="is not finite"):
+        grid_resonances_analytic(3, 3, 5e-324, 5e-324)
+
 
 # ── pencil agrees with closed forms ───────────────────────────────────────
 
@@ -214,6 +223,21 @@ def test_fallback_confirms_the_same_roots(monkeypatch, net, lo, hi):
     )
 
 
+def test_uncertified_finite_root_is_dropped(monkeypatch):
+    def refuse(pencil, omegas, z):
+        return np.zeros(omegas.size), np.zeros(omegas.size, dtype=bool)
+
+    def finite(net, omega, p, q):
+        return SimpleNamespace(status=ImpedanceStatus.FINITE)
+
+    monkeypatch.setattr(resonance, "_certify", refuse)
+    monkeypatch.setattr(resonance, "two_point_impedance", finite)
+    rep = find_resonances(lc_parallel(1.0, 1.0), 0.5, 2.0)
+    assert rep.omegas == () and rep.distinct_count == 0
+    assert rep.raw_count == 1
+    assert rep.certified_count == 0
+
+
 @pytest.mark.parametrize("m", [8, 12])
 def test_grid_search_makes_no_impedance_query(monkeypatch, m):
     # Deterministic guard on the cost of a search: every root of the grid is
@@ -293,6 +317,13 @@ def test_product_identity_mixed_reactances():
     elements = [Element.inductor(1.0), Element.inductor(2.0), Element.inductor(3.0)]
     dev = eigenvalue_product_identity_check(elements, 1.0)
     assert dev <= 1e-12
+
+
+def test_product_identity_takes_an_iterator():
+    elements = [Element.inductor(1.0), Element.inductor(1.0), Element.capacitor(1.0)]
+    dev = eigenvalue_product_identity_check(elements, 1.0)
+    assert dev <= 1e-12
+    assert eigenvalue_product_identity_check(iter(elements), 1.0) == dev
 
 
 def test_product_identity_with_capacitors():
