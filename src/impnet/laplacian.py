@@ -86,15 +86,21 @@ def _stamp(net: Network, ys: np.ndarray) -> np.ndarray:
 
     Parallel branches merge by summing their admittances in branch order,
     and each diagonal entry is the negated sum of its merged off-diagonal
-    row, which keeps row sums at zero to machine precision.
+    row, which keeps row sums at zero to machine precision.  Raises
+    ValidationError when an entry is not finite; a non-finite entry makes
+    the diagonal of its row non-finite, so the diagonal is what is tested.
     """
     n = net.node_count
     ends = _ends(net)
     adm = np.zeros((n, n), dtype=ys.dtype)
-    # (a, b) then (b, a) per branch: the accumulation order of a loop
-    np.add.at(adm, (ends, ends.reshape(-1, 2)[:, ::-1].ravel()), np.repeat(ys, 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        # (a, b) then (b, a) per branch: the accumulation order of a loop
+        np.add.at(adm, (ends, ends.reshape(-1, 2)[:, ::-1].ravel()), np.repeat(ys, 2))
+        diag = adm.sum(axis=1)
+    if not np.isfinite(diag).all():
+        raise ValidationError("a merged admittance of the network is not finite")
     lap = -adm
-    np.fill_diagonal(lap, adm.sum(axis=1))
+    np.fill_diagonal(lap, diag)
     return lap
 
 
@@ -105,6 +111,9 @@ def assemble_laplacian(net: Network, omega: float) -> np.ndarray:
     -------
     numpy.ndarray
         Dense complex (node_count, node_count) matrix.
+
+    Raises ValidationError when a branch admittance or a merged admittance
+    (a sum of parallel branches, or a diagonal) is not finite.
     """
     return _stamp(net, branch_admittances(net, omega))
 
@@ -119,15 +128,11 @@ def laplacian_parts(net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ys = branch_admittances(net, 1.0)
     kinds = np.array([br.element.kind for br in net.branches])
     cap, ind = kinds == _CAPACITOR, kinds == _INDUCTOR
-    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-        parts = (
-            _stamp(net, np.where(cap, ys.imag, 0.0)),
-            _stamp(net, np.where(cap | ind, 0.0, ys)),
-            _stamp(net, np.where(ind, -ys.imag, 0.0)),  # 1/(j L) = -j/L
-        )
-    if not all(np.isfinite(part).all() for part in parts):
-        raise ValidationError("a merged admittance of the network is not finite")
-    return parts
+    return (
+        _stamp(net, np.where(cap, ys.imag, 0.0)),
+        _stamp(net, np.where(cap | ind, 0.0, ys)),
+        _stamp(net, np.where(ind, -ys.imag, 0.0)),  # 1/(j L) = -j/L
+    )
 
 
 def admittance_scale(net: Network, omega: float) -> float:

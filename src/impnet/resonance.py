@@ -8,10 +8,13 @@ and the product of the nonconstant-mode eigenvalues of the ring Laplacian
 has a closed form that doubles as an end-to-end numerical identity check.
 General networks are handled by find_resonances: the Laplacian is affine in
 j omega and 1/(j omega), so its resonances are eigenvalues of a quadratic
-pencil in s = j omega, all found by one generalized eigensolve.  Each is
-certified from its own eigenvector, a backward-error bound in the sense of
-Tisseur, "Backward error and condition of polynomial eigenvalue problems",
-Linear Algebra Appl. 309 (2000); only a root that fails the certificate is
+pencil in s = j omega, all found by one generalized eigensolve: of order
+n - 1 in s^2 for LC networks, whose pencil has no linear term, and of the
+2(n - 1) companion linearization (Tisseur and Meerbergen, "The quadratic
+eigenvalue problem", SIAM Rev. 43 (2001)) otherwise.  Each is certified
+from its own eigenvector, a backward-error bound in the sense of Tisseur,
+"Backward error and condition of polynomial eigenvalue problems", Linear
+Algebra Appl. 309 (2000); only a root that fails the certificate is
 confirmed by the impedance verdict.
 """
 
@@ -193,12 +196,14 @@ def find_resonances(
     Substituting s = 2^k t with 2^k near sqrt(|Gamma| / |C|) (or the ratio
     with |Y| when C or Gamma is zero) balances the pencil, and a factor 2^d
     brings its largest coefficient to order one, so the roots do not depend
-    on the units or on the range.  One QZ solve with right eigenvectors of
-    the 2(n-1) companion linearization on the complement of the constant
-    vector gives every root t; those with Im t > 0 and |Re t| <= sqrt(eps)
-    |t| whose omega = 2^k Im t lies in the range are merged within
-    MERGE_REL_TOL.  When C and Gamma are both zero, L does not depend on
-    omega and nothing is reported.
+    on the units or on the range.  One QZ solve with right eigenvectors on
+    the complement of the constant vector gives every root t (see
+    _pencil_roots): for an LC network, where Y is identically zero, a real
+    pencil of order n-1 in nu = t^2 with t = j sqrt(-nu); for any other
+    network the 2(n-1) companion linearization.  Roots with Im t > 0 and
+    |Re t| <= sqrt(eps) |t| whose omega = 2^k Im t lies in the range are
+    merged within MERGE_REL_TOL.  When C and Gamma are both zero, L does
+    not depend on omega and nothing is reported.
 
     Each merged omega is reported only when the network is RESONANT there
     by the rule of two_point_impedance: some nontrivial |lambda| is at or
@@ -217,9 +222,12 @@ def find_resonances(
 
     Near omega -> 0 the singularity rule itself can hold: when Gamma is
     singular off the constant vector, |lambda| ~ omega C falls below 1e-13
-    of the admittance scale ~ 1/(omega L), and the pencil's roots at s = 0,
-    computed to about sqrt(eps), are reported when they lie in the range
-    (near 1e-8 for the 8x8 free grid with L = C = 1).
+    of the admittance scale ~ 1/(omega L), and the pencil's roots at s = 0
+    are reported when they lie in the range.  They are rounding artifacts:
+    the multiple root nu = 0 comes out at about eps, so omega is about
+    sqrt(eps) in the balanced units (near 1e-8 for the 8x8 free grid with
+    L = C = 1), and how many of them come out with nu < 0 depends on the
+    rounding.
     """
     lo, hi = check_band(omega_lo, omega_hi)
     pencil = _balance(*laplacian_parts(net))
@@ -289,23 +297,36 @@ def _pencil_roots(
     """Roots omega of the pencil in [lo, hi], ascending, with eigenvectors.
 
     Returns the omegas and the (n, len(omegas)) node-basis vectors z = Q x,
-    x the bottom half of each root's right eigenvector of the companion
-    linearization [[-y, -g], [I, 0]] - t [[c, 0], [0, I]] projected onto the
-    complement Q of the constant vector.
+    x each root's eigenvector on the complement Q of the constant vector,
+    where the pencil is t^2 a2 + t a1 + a0 with a_i = Q^T part Q.  With no
+    R or Z branch y is identically zero, and nu = t^2 solves the real
+    (n-1) pencil -a0 x = nu a2 x: each root is t = j sqrt(-nu) with x its
+    own eigenvector.  Otherwise x is the bottom half of the right
+    eigenvector of the 2(n-1) companion linearization
+    [[-a1, -a0], [I, 0]] - t [[a2, 0], [0, I]].
     """
     q = _constant_complement(pencil.c.shape[0])
-    a2, a1, a0 = (q.T @ part @ q for part in pencil[:3])
-    if not a1.imag.any():  # real QZ unless fixed impedances make Y complex
-        a1 = a1.real
+    a2, a0 = q.T @ pencil.c @ q, q.T @ pencil.g @ q
     m = q.shape[1]
-    eye, zero = np.eye(m), np.zeros((m, m))
+    lc = not pencil.y.any()
+    if lc:
+        a, b = -a0, a2
+    else:
+        a1 = q.T @ pencil.y @ q
+        if not a1.imag.any():  # real QZ unless fixed impedances make Y complex
+            a1 = a1.real
+        eye, zero = np.eye(m), np.zeros((m, m))
+        a, b = np.block([[-a1, -a0], [eye, zero]]), np.block([[a2, zero], [zero, eye]])
     (alpha, beta), v = scipy.linalg.eig(
-        np.block([[-a1, -a0], [eye, zero]]), np.block([[a2, zero], [zero, eye]]),
-        right=True, overwrite_a=True, overwrite_b=True, check_finite=False,
+        a, b, right=True, overwrite_a=True, overwrite_b=True, check_finite=False,
         homogeneous_eigvals=True,
     )
+    if not lc:
+        v = v[m:]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = alpha / beta
+        if lc:  # t = j sqrt(-nu), the root with Im t = Re sqrt(-nu) >= 0
+            t = 1j * np.sqrt(-t)
         omegas = np.ldexp(t.imag, pencil.k)
         keep = (
             np.isfinite(t) & (t.imag > 0)
@@ -313,7 +334,7 @@ def _pencil_roots(
             & (omegas >= lo) & (omegas <= hi)
         )
     order = np.argsort(omegas[keep], kind="stable")
-    return omegas[keep][order], q @ v[m:, keep][:, order]
+    return omegas[keep][order], q @ v[:, keep][:, order]
 
 
 def _gamma(m: int) -> float:

@@ -192,6 +192,17 @@ def test_non_finite_admittance_is_input_error(
     assert "admittance of" in err and "is not finite" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["impedance", "--pair", "1", "3"], ["check"],
+], ids=["impedance", "check"])
+def test_overflowing_merged_admittance_is_input_error(tmp_path, capsys, command):
+    # finite admittances of 1e308 S whose parallel sum overflows
+    p = tmp_path / "overflow.net"
+    p.write_text("NET 3\nR 1 2 1e-308\nR 1 2 1e-308\nR 2 3 1\n")
+    assert main([command[0], str(p), *command[1:], "--omega", "1"]) == 1
+    assert "merged admittance of the network is not finite" in capsys.readouterr().err
+
+
 def test_huge_resistances_stay_finite(capsys, tmp_path):
     # admittances of 1e-300: sigma underflows, |lambda| does not
     p = tmp_path / "huge.net"

@@ -146,3 +146,20 @@ def test_laplacian_parts_reject_non_finite_sum():
     net = Network(2, (Branch(1, 2, big), Branch(1, 2, big)))
     with pytest.raises(ValidationError):
         laplacian_parts(net)
+
+
+def test_overflowing_merged_admittance_is_input_error():
+    # Two 1e308 S resistors in parallel: each admittance is finite, their
+    # merged sum is not.  Every route rejects the network, without warnings.
+    tiny = Element.resistor(1e-308)
+    net = Network(3, (
+        Branch(1, 2, tiny), Branch(1, 2, tiny), Branch(2, 3, Element.resistor(1.0)),
+    ))
+    for call in (
+        lambda: assemble_laplacian(net, 1.0),
+        lambda: solve_direct(net, 1.0, 1, 3),
+        lambda: two_point_impedance(net, 1.0, 1, 3),
+        lambda: laplacian_parts(net),
+    ):
+        with pytest.raises(ValidationError, match="merged admittance .* not finite"):
+            call()

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from impnet import (
     Boundary,
@@ -24,7 +25,7 @@ from impnet import (
     two_point_impedance,
 )
 from impnet import resonance
-from conftest import lc_parallel
+from conftest import lc_parallel, random_connected_network
 
 # ── closed-form grid frequencies ─────────────────────────────────────────
 
@@ -182,6 +183,73 @@ def test_pencil_ring_with_fixed_reactance():
         Element.inductor(1.0), Element.capacitor(1.0), Element.impedance(1 + 1j),
     ])
     assert find_resonances(lossy, 0.1, 10.0).omegas == ()
+
+
+# ── the LC pencil in t^2 ─────────────────────────────────────────────────
+
+@pytest.mark.parametrize("net,half", [
+    (grid_network(6, 6, 1.0, 1.0), True),
+    (grid_network(8, 8, 1.0, 1.0, Boundary.TOROIDAL), True),
+    (random_connected_network(np.random.default_rng(3), 8, 12, "LC", 2.0), True),
+    (ring_network(3, [
+        Element.inductor(1.0), Element.capacitor(1.0), Element.impedance(1j),
+    ]), False),
+    (ring_network(3, [
+        Element.resistor(0.1), Element.inductor(1.0), Element.capacitor(1.0),
+    ]), False),
+], ids=["free6x6", "toroidal8x8", "random-lc", "ring-LCZ", "ring-RLC"])
+def test_lc_networks_take_the_half_size_pencil(monkeypatch, net, half):
+    # With no R or Z branch the search is one QZ of order n - 1 in t^2;
+    # otherwise it is the 2(n - 1) companion linearization.
+    orders = []
+    eig = scipy.linalg.eig
+
+    def recording(a, b, **kwargs):
+        orders.append(a.shape[0])
+        return eig(a, b, **kwargs)
+
+    monkeypatch.setattr(resonance.scipy.linalg, "eig", recording)
+    find_resonances(net, 0.1, 10.0)
+    m = net.node_count - 1
+    assert orders == [m if half else 2 * m]
+
+
+def _oracle_omegas(net, lo, hi):
+    """Distinct LC resonances in [lo, hi] from the symmetric-definite pencil.
+
+    Gamma x = tau^2 C x off the constant vector is a0 x = mu (a0 + a2) x
+    with mu = tau^2 / (1 + tau^2), a0 + a2 positive definite for a
+    connected network; mu = 1 (tau = inf) comes from directions that no
+    capacitor reaches.  tau is omega in the balanced units 2^-k omega.
+    """
+    pencil = resonance._balance(*laplacian_parts(net))
+    q = scipy.linalg.null_space(np.ones((1, net.node_count)))
+    a0, a2 = q.T @ pencil.g @ q, q.T @ pencil.c @ q
+    mu = scipy.linalg.eigh(a0, a0 + a2, eigvals_only=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        omegas = np.ldexp(np.sqrt(mu / (1.0 - mu)), pencil.k)
+        omegas = np.sort(omegas[(mu > 0) & np.isfinite(omegas)])
+    omegas = omegas[(omegas >= lo) & (omegas <= hi)]
+    return omegas[np.diff(omegas, prepend=-np.inf) > resonance.MERGE_REL_TOL * omegas]
+
+
+def _oracle_cases():
+    for boundary in (Boundary.FREE, Boundary.TOROIDAL):
+        for m in (6, 8, 10, 12):
+            want = grid_resonances_analytic(m, m, 1.0, 1.0, boundary).omegas
+            yield grid_network(m, m, 1.0, 1.0, boundary), 0.8 * want[0], 1.2 * want[-1]
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        yield random_connected_network(rng, 3, 20, "LC", 2.0), 1e-3, 1e3
+
+
+def test_pencil_matches_symmetric_definite_oracle():
+    for net, lo, hi in _oracle_cases():
+        rep = find_resonances(net, lo, hi)
+        want = _oracle_omegas(net, lo, hi)
+        assert rep.distinct_count == want.size
+        assert rep.certified_count == rep.distinct_count
+        assert np.all(np.abs(np.array(rep.omegas) - want) <= 1e-10 * want)
 
 
 # ── eigenvector certificate ──────────────────────────────────────────────
