@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .laplacian import (
-    SINGULAR_REL_TOL, admittance_scale, assemble_laplacian, check_angular_frequency,
+    SINGULAR_REL_TOL, assemble_laplacian, check_angular_frequency, node_system,
 )
 from .network import Network, check_pair
 
@@ -51,9 +51,8 @@ def solve_node_potentials(
     w = check_angular_frequency(omega)
     p, q = check_pair(net, p, q)
     kept = np.arange(net.node_count) != q - 1
-    lap = assemble_laplacian(net, w)
-    lu, piv, _ = lapack.zgetrf(np.asarray_chkfinite(lap[np.ix_(kept, kept)]))
-    scale = admittance_scale(net, w)
+    lap, scale = node_system(net, w)
+    lu, piv, _ = lapack.zgetrf(lap[np.ix_(kept, kept)])
     pivot_min = float(np.abs(np.diag(lu)).min())
     if pivot_min <= SINGULAR_REL_TOL * scale:
         return SingularSystem(ground=q, pivot_min=pivot_min, scale=scale)

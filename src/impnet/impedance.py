@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .laplacian import admittance_scale, assemble_laplacian, check_angular_frequency
+from .laplacian import check_angular_frequency, node_system
 from .network import Network, check_pair
 from .takagi import TakagiRows, classify_zero_modes, takagi_rows
 
@@ -94,7 +94,8 @@ def two_point_impedance(
     """
     w = check_angular_frequency(omega)
     p, q = check_pair(net, p, q)
-    spec = _spectrum(takagi_rows(assemble_laplacian(net, w), (p - 1, q - 1)), net, w)
+    lap, scale = node_system(net, w)
+    spec = _spectrum(takagi_rows(lap, (p - 1, q - 1)), scale)
     value, coupling = _mode_sums(spec, 0, 1)
     return _result(spec, w, complex(value), float(coupling))
 
@@ -107,15 +108,15 @@ def impedance_matrix(net: Network, omega: float) -> ImpedanceResult:
     p, q), up to rounding.  Both arrays are (n, n), exactly symmetric and
     zero on the diagonal; divergent_coefficient is None when FINITE.
     """
-    w = check_angular_frequency(omega)
     n = net.node_count
-    spec = _spectrum(takagi_rows(assemble_laplacian(net, w), range(n)), net, w)
+    lap, scale = node_system(net, omega)
+    spec = _spectrum(takagi_rows(lap, range(n)), scale)
     value = np.zeros((n, n), dtype=complex)
     coupling = np.zeros((n, n))
     for p in range(n - 1):
         rest = slice(p + 1, None)
         value[p, rest], coupling[p, rest] = _mode_sums(spec, p, rest)
-    return _result(spec, w, value + value.T, coupling + coupling.T)
+    return _result(spec, float(omega), value + value.T, coupling + coupling.T)
 
 
 class _Spectrum(NamedTuple):
@@ -130,8 +131,8 @@ class _Spectrum(NamedTuple):
     near_resonance: bool
 
 
-def _spectrum(dec: TakagiRows, net: Network, omega: float) -> _Spectrum:
-    cls = classify_zero_modes(dec, admittance_scale(net, omega))
+def _spectrum(dec: TakagiRows, scale: float) -> _Spectrum:
+    cls = classify_zero_modes(dec, scale)
     retained = np.ones(dec.lam.size, dtype=bool)
     retained[list(cls.zero_indices)] = False
     mags = np.abs(dec.lam)

@@ -229,6 +229,9 @@ def parse_netlist(text: str) -> Network:
             raise ValidationError(f"line {lineno}: {exc}") from None
     if node_count is None:
         raise NetlistSyntaxError(None, "empty netlist: missing 'NET' header")
+    if node_count > len(branches) + 1:  # before Network's O(node_count) check
+        raise ValidationError(f"{node_count} nodes need at least {node_count - 1} "
+                              f"branches to be connected, got {len(branches)}")
     return Network(node_count, tuple(branches))
 
 

@@ -167,9 +167,9 @@ def takagi_decompose(l: np.ndarray) -> TakagiDecomposition:
     Parameters
     ----------
     l : array_like
-        Non-empty square complex symmetric matrix with finite entries.
-        Asymmetry above 1e-13 of the largest entry magnitude raises
-        NotSymmetricError.
+        Non-empty square complex symmetric matrix with finite entries and
+        finite doubled row sums of |l|, else ValidationError.  Asymmetry
+        above 1e-13 of the largest entry magnitude raises NotSymmetricError.
 
     Returns
     -------
@@ -227,9 +227,9 @@ def takagi_rows(l: np.ndarray, nodes) -> TakagiRows:
     gives u = sqrt(conj(c) sgn mu) v and lambda = |mu|.  Otherwise u = v[:n]
     + i v[n:] for the eigenvectors v of H, read through e_p and e_{n+p},
     and the zero space through the tight frame of its 2k pair vectors.  No
-    vector is back-transformed.  Accepts the input takagi_decompose accepts.
+    vector is back-transformed.  Unchecked precondition, met by node_system's
+    L: l is exactly symmetric with finite row sums of |l| (they bound |lambda|).
     """
-    l = _check_symmetric(l)
     n = l.shape[0]
     m = len(nodes)
     # s selects the entries at the nodes and the sum of an n-vector
@@ -282,8 +282,12 @@ def _check_symmetric(l: np.ndarray) -> np.ndarray:
         )
     if not np.isfinite(l).all():
         raise ValidationError("matrix has non-finite entries")
-    scale = float(np.abs(l).max())
-    if float(np.abs(l - l.T).max()) > _SYMMETRY_REL_TOL * scale:
+    with np.errstate(over="ignore"):  # rejected below
+        mags = np.abs(l)
+        bound = 2.0 * float(mags.sum(axis=1).max())  # of |lambda| and |l + l.T|
+    if not math.isfinite(bound):
+        raise ValidationError("twice the largest row sum of |l| is not finite")
+    if float(np.abs(l - l.T).max()) > _SYMMETRY_REL_TOL * float(mags.max()):
         raise NotSymmetricError(
             "matrix is not complex symmetric to working tolerance"
         )

@@ -203,6 +203,29 @@ def test_overflowing_merged_admittance_is_input_error(tmp_path, capsys, command)
     assert "merged admittance of the network is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["impedance", "--pair", "1", "2"], ["check"],
+], ids=["impedance", "check"])
+def test_overflowing_admittance_scale_is_input_error(tmp_path, capsys, command):
+    # one finite admittance of 1e308 S: twice the scale, which bounds
+    # |lambda|, is not finite
+    p = tmp_path / "scale.net"
+    p.write_text("NET 2\nR 1 2 1e-308\n")
+    assert main([command[0], str(p), *command[1:], "--omega", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "admittance scale" in captured.err and captured.out == ""
+
+
+def test_too_few_branches_rejected_before_network(tmp_path, capsys):
+    # 100000 nodes cannot be connected by one branch: a short input error,
+    # not a DisconnectedError listing 99999 components
+    p = tmp_path / "sparse.net"
+    p.write_text("NET 100000\nR 1 2 1\n")
+    assert main(["impedance", str(p), "--pair", "1", "2", "--omega", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "100000" in err and "99999" in err and len(err) < 200
+
+
 def test_huge_resistances_stay_finite(capsys, tmp_path):
     # admittances of 1e-300: sigma underflows, |lambda| does not
     p = tmp_path / "huge.net"

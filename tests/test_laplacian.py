@@ -23,6 +23,7 @@ from impnet import (
     solve_direct,
     two_point_impedance,
 )
+from impnet import takagi
 from conftest import SQRT3, random_connected_network
 
 # ── admittances ──────────────────────────────────────────────────────────
@@ -163,3 +164,59 @@ def test_overflowing_merged_admittance_is_input_error():
     ):
         with pytest.raises(ValidationError, match="merged admittance .* not finite"):
             call()
+
+
+def test_overflowing_admittance_scale_is_input_error():
+    # One 1e308 S resistor: L is finite, its nontrivial |lambda| of 2e308 is
+    # not.  Twice the admittance scale bounds every |lambda| (Gershgorin),
+    # and both routes reject the network when that bound is not finite.
+    net = Network(2, (Branch(1, 2, Element.resistor(1e-308)),))
+    for call in (
+        lambda: solve_direct(net, 1.0, 1, 2),
+        lambda: two_point_impedance(net, 1.0, 1, 2),
+        lambda: impedance_matrix(net, 1.0),
+    ):
+        with pytest.raises(ValidationError, match="admittance scale .* not finite"):
+            call()
+    # 1.2e-308 ohm: twice the scale, 1.7e308 S, is finite
+    net = Network(2, (Branch(1, 2, Element.resistor(1.2e-308)),))
+    assert solve_direct(net, 1.0, 1, 2) == pytest.approx(1.2e-308, rel=1e-14)
+    z = two_point_impedance(net, 1.0, 1, 2).value
+    assert z == pytest.approx(1.2e-308, rel=1e-14)
+
+
+def test_one_admittance_pass_and_no_resymmetrization_per_query(monkeypatch):
+    # A query reads its Laplacian and admittance scale from one call of
+    # branch_admittances, and takagi_rows takes the Laplacian as assembled.
+    calls = []
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls.append(name)
+            return f(*args)
+        return wrapper
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "impnet" and (
+            getattr(module, "branch_admittances", None) is branch_admittances
+        ):
+            monkeypatch.setattr(module, "branch_admittances",
+                                counted("admittances", branch_admittances))
+    monkeypatch.setattr(takagi, "_check_symmetric",
+                        counted("symmetrize", takagi._check_symmetric))
+    networks = {
+        "grid": (grid_network(10, 10, 1.0, 1.0), 0.7),
+        "rlcz": (random_connected_network(np.random.default_rng(5), 12, 12), 1.3),
+    }
+    for label, (net, omega) in networks.items():
+        n = net.node_count
+        queries = {
+            "two_point_impedance": lambda: two_point_impedance(net, omega, 1, n),
+            "impedance_matrix": lambda: impedance_matrix(net, omega),
+            "solve_direct": lambda: solve_direct(net, omega, 1, n),
+        }
+        for name, query in queries.items():
+            calls.clear()
+            query()
+            assert calls.count("admittances") == 1, (label, name, calls)
+            assert calls.count("symmetrize") == 0, (label, name, calls)

@@ -102,6 +102,15 @@ def test_isolated_node_is_disconnected():
         Network(3, (Branch(1, 2, Element.resistor(1.0)),))
 
 
+def test_parse_rejects_fewer_branches_than_a_tree():
+    with pytest.raises(ValidationError, match="at least 99999 branches") as exc:
+        parse_netlist("NET 100000\nR 1 2 1\n")
+    assert len(str(exc.value)) < 200
+    # enough branches for a tree: connectivity is Network's to check
+    with pytest.raises(DisconnectedError):
+        parse_netlist("NET 4\nR 1 2 1\nR 1 2 1\nR 3 4 1\n")
+
+
 def test_parallel_branches_allowed():
     net = Network(2, (
         Branch(1, 2, Element.resistor(1.0)),

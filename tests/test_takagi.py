@@ -232,6 +232,14 @@ def test_non_finite_rejected(bad):
         takagi_decompose(l)
 
 
+def test_overflowing_row_sum_rejected():
+    # finite entries whose nontrivial |lambda|, 2e308, is not finite:
+    # rejected with a ValidationError and without an overflow warning
+    l = np.array([[1e308, -1e308], [-1e308, 1e308]], dtype=complex)
+    with pytest.raises(ValidationError, match="row sum"):
+        takagi_decompose(l)
+
+
 # ── zero-mode classification ─────────────────────────────────────────────
 
 def test_classify_triangle_single_trivial_zero(triangle):
