@@ -1,8 +1,9 @@
 """Branch admittances and the complex symmetric network Laplacian.
 
 branch_admittances gives 1/R, 1/(j omega L), j omega C and 1/z for every
-branch; assembly, admittance_scale and laplacian_parts read that array,
-and node_system gives a query both the Laplacian and the scale from one.
+branch; assembly, admittance_scale and laplacian_parts read that array.
+node_system is what every query reads: the Laplacian and the scale, with
+the input errors of both.
 The Laplacian carries the merged admittance sum of all branches joining a
 node pair on the off-diagonal (negated) and the sum of incident admittances
 on the diagonal, so every row sums to zero and the constant vector is an
@@ -144,23 +145,20 @@ def admittance_scale(net: Network, omega: float) -> float:
     resonance where the assembled matrix itself can vanish.  Singularity
     verdicts compare against SINGULAR_REL_TOL times this scale.
     """
-    return _scale(net, branch_admittances(net, omega))
-
-
-def _scale(net: Network, ys: np.ndarray) -> float:
-    """admittance_scale of net with ys[k] the admittance of branch k."""
+    ys = branch_admittances(net, omega)
     # the bits of a loop: hypot is abs() of a complex, bincount adds in order
     weights = np.repeat(np.hypot(ys.real, ys.imag), 2)
     return float(np.bincount(_ends(net), weights, net.node_count).max())
 
 
 def node_system(net: Network, omega: float) -> tuple[np.ndarray, float]:
-    """assemble_laplacian and admittance_scale of net at omega from one call
-    of branch_admittances.  Raises ValidationError where assemble_laplacian
-    does and when 2 * scale, which bounds every row sum of |L| and so every
-    |lambda| (Gershgorin), is not finite."""
-    ys = branch_admittances(net, omega)
-    lap, scale = _stamp(net, ys), _scale(net, ys)
+    """assemble_laplacian and admittance_scale of net at omega.
+
+    Raises ValidationError where they do and when 2 * scale, which bounds
+    every row sum of |L| and so every |lambda| (Gershgorin), is not
+    finite.  Each of the two calls evaluates the branch admittances.
+    """
+    lap, scale = assemble_laplacian(net, omega), admittance_scale(net, omega)
     if not math.isfinite(2.0 * scale):
         raise ValidationError(f"twice the admittance scale {scale!r} S is not finite")
     return lap, scale

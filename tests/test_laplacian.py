@@ -23,7 +23,7 @@ from impnet import (
     solve_direct,
     two_point_impedance,
 )
-from impnet import takagi
+from impnet import laplacian, takagi
 from conftest import SQRT3, random_connected_network
 
 # ── admittances ──────────────────────────────────────────────────────────
@@ -185,9 +185,27 @@ def test_overflowing_admittance_scale_is_input_error():
     assert z == pytest.approx(1.2e-308, rel=1e-14)
 
 
-def test_one_admittance_pass_and_no_resymmetrization_per_query(monkeypatch):
+def test_cancelling_parallel_branches_with_overflowing_scale_rejected():
+    # L, C and R = 1 ohm in parallel at the LC resonance: the merged
+    # admittance is 1 S, but the scale, 1e308 S, still bounds nothing
+    # finite once doubled, so both routes reject the network
+    net = Network(2, (
+        Branch(1, 2, Element.inductor(2e-308)),
+        Branch(1, 2, Element.capacitor(5e307)),
+        Branch(1, 2, Element.resistor(1.0)),
+    ))
+    assert np.abs(assemble_laplacian(net, 1.0)).max() == 1.0
+    for call in (
+        lambda: solve_direct(net, 1.0, 1, 2),
+        lambda: two_point_impedance(net, 1.0, 1, 2),
+    ):
+        with pytest.raises(ValidationError, match="admittance scale .* not finite"):
+            call()
+
+
+def test_one_node_system_and_no_resymmetrization_per_query(monkeypatch):
     # A query reads its Laplacian and admittance scale from one call of
-    # branch_admittances, and takagi_rows takes the Laplacian as assembled.
+    # node_system, and takagi_rows takes the Laplacian as assembled.
     calls = []
 
     def counted(name, f):
@@ -196,12 +214,13 @@ def test_one_admittance_pass_and_no_resymmetrization_per_query(monkeypatch):
             return f(*args)
         return wrapper
 
+    node_system = laplacian.node_system
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "impnet" and (
-            getattr(module, "branch_admittances", None) is branch_admittances
+            getattr(module, "node_system", None) is node_system
         ):
-            monkeypatch.setattr(module, "branch_admittances",
-                                counted("admittances", branch_admittances))
+            monkeypatch.setattr(module, "node_system",
+                                counted("node_system", node_system))
     monkeypatch.setattr(takagi, "_check_symmetric",
                         counted("symmetrize", takagi._check_symmetric))
     networks = {
@@ -218,5 +237,4 @@ def test_one_admittance_pass_and_no_resymmetrization_per_query(monkeypatch):
         for name, query in queries.items():
             calls.clear()
             query()
-            assert calls.count("admittances") == 1, (label, name, calls)
-            assert calls.count("symmetrize") == 0, (label, name, calls)
+            assert calls == ["node_system"], (label, name, calls)
