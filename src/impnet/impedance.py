@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ValidationError
 from .laplacian import check_angular_frequency, node_system
 from .network import Network, check_pair
 from .takagi import TakagiRows, classify_zero_modes, takagi_rows
@@ -124,7 +125,8 @@ class _Spectrum(NamedTuple):
     split into the retained (nonzero) modes and the zero ones."""
 
     live: np.ndarray  # rows of the retained modes, one per node read
-    inv_lam: np.ndarray  # their 1 / lambda
+    inv_lam: np.ndarray  # their 1 / lambda in units of 2^-e ohm
+    e: int  # 2^(e-1) <= admittance scale < 2^e
     zero: np.ndarray  # rows of the zero modes
     resonant: int  # dimension of the zero space past the trivial mode
     min_abs: float  # smallest |lambda| outside the trivial mode
@@ -133,6 +135,7 @@ class _Spectrum(NamedTuple):
 
 def _spectrum(dec: TakagiRows, scale: float) -> _Spectrum:
     cls = classify_zero_modes(dec, scale)
+    e = math.frexp(scale)[1]
     retained = np.ones(dec.lam.size, dtype=bool)
     retained[list(cls.zero_indices)] = False
     mags = np.abs(dec.lam)
@@ -141,7 +144,8 @@ def _spectrum(dec: TakagiRows, scale: float) -> _Spectrum:
     min_abs = float(others[0]) if others.size else 0.0
     return _Spectrum(
         dec.rows[:, retained],
-        1.0 / dec.lam[retained],
+        1.0 / np.ldexp(dec.lam[retained], -e),
+        e,
         dec.rows[:, ~retained],
         cls.nontrivial_zero_count,
         min_abs,
@@ -152,10 +156,17 @@ def _spectrum(dec: TakagiRows, scale: float) -> _Spectrum:
 def _mode_sums(spec: _Spectrum, i: int, j) -> tuple[np.ndarray, np.ndarray]:
     """Between row i and the row or rows j of the rows read: the sums of
     (u_i - u_j)^2 / lambda over the retained modes and of |u_i - u_j|^2
-    over the zero ones."""
+    over the zero ones.  The first is summed in the units of inv_lam and
+    scaled back exactly; ValidationError when it exceeds the float range."""
     live = spec.live[i] - spec.live[j]
     zero = spec.zero[i] - spec.zero[j]
-    return live ** 2 @ spec.inv_lam, np.sum(np.abs(zero) ** 2, axis=-1)
+    value = np.array(live ** 2 @ spec.inv_lam)
+    with np.errstate(over="ignore"):  # rejected below
+        for part in (value.real, value.imag):
+            np.ldexp(part, -spec.e, out=part)
+    if not np.isfinite(value).all():
+        raise ValidationError("the impedance exceeds the float range")
+    return value, np.sum(np.abs(zero) ** 2, axis=-1)
 
 
 def _result(spec: _Spectrum, omega: float, value, coupling) -> ImpedanceResult:

@@ -14,7 +14,6 @@ once any branch is reactive.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -143,37 +142,21 @@ def admittance_scale(net: Network, omega: float) -> float:
     This is the magnitude the Laplacian diagonal would have if no admittance
     cancellation occurred, so it stays finite and meaningful even at an LC
     resonance where the assembled matrix itself can vanish.  Singularity
-    verdicts compare against SINGULAR_REL_TOL times this scale.
+    verdicts compare against SINGULAR_REL_TOL times this scale.  Raises
+    ValidationError where branch_admittances does and when 2 * scale, which
+    bounds every row sum of |L| and so every |lambda| (Gershgorin), is not
+    finite.
     """
     ys = branch_admittances(net, omega)
     # the bits of a loop: hypot is abs() of a complex, bincount adds in order
     weights = np.repeat(np.hypot(ys.real, ys.imag), 2)
-    return float(np.bincount(_ends(net), weights, net.node_count).max())
+    scale = float(np.bincount(_ends(net), weights, net.node_count).max())
+    if not math.isfinite(2.0 * scale):
+        raise ValidationError(f"twice the admittance scale {scale!r} S is not finite")
+    return scale
 
 
 def node_system(net: Network, omega: float) -> tuple[np.ndarray, float]:
-    """assemble_laplacian and admittance_scale of net at omega.
-
-    Raises ValidationError where they do and when 2 * scale, which bounds
-    every row sum of |L| and so every |lambda| (Gershgorin), is not
-    finite.  Each of the two calls evaluates the branch admittances.
-    """
-    lap, scale = assemble_laplacian(net, omega), admittance_scale(net, omega)
-    if not math.isfinite(2.0 * scale):
-        raise ValidationError(f"twice the admittance scale {scale!r} S is not finite")
-    return lap, scale
-
-
-@lru_cache(maxsize=128)
-def _constant_complement(n: int) -> np.ndarray:
-    """Orthonormal basis (n, n-1) of the complement of the constant vector.
-
-    Columns 1..n-1 of the Householder reflector that maps e_1 onto the
-    normalized constant vector.
-    """
-    v = np.full(n, 1.0 / math.sqrt(n))
-    v[0] -= 1.0
-    h = np.eye(n) - (2.0 / (v @ v)) * np.outer(v, v)
-    q = h[:, 1:].copy()
-    q.setflags(write=False)
-    return q
+    """assemble_laplacian and admittance_scale of net at omega, with the
+    input errors of both; each call evaluates the branch admittances."""
+    return assemble_laplacian(net, omega), admittance_scale(net, omega)

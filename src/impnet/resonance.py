@@ -31,11 +31,7 @@ import scipy.linalg
 from .errors import NearSingularError, ValidationError
 from .impedance import ImpedanceStatus, two_point_impedance
 from .laplacian import (
-    SINGULAR_REL_TOL,
-    _constant_complement,
-    assemble_laplacian,
-    check_angular_frequency,
-    check_band,
+    SINGULAR_REL_TOL, assemble_laplacian, check_angular_frequency, check_band,
     laplacian_parts,
 )
 from .network import (
@@ -196,8 +192,8 @@ def find_resonances(
     Substituting s = 2^k t with 2^k near sqrt(|Gamma| / |C|) (or the ratio
     with |Y| when C or Gamma is zero) balances the pencil, and a factor 2^d
     brings its largest coefficient to order one, so the roots do not depend
-    on the units or on the range.  One QZ solve with right eigenvectors on
-    the complement of the constant vector gives every root t (see
+    on the units or on the range.  One QZ solve with right eigenvectors of
+    the pencil with one node grounded gives every root t (see
     _pencil_roots): for an LC network, where Y is identically zero, a real
     pencil of order n-1 in nu = t^2 with t = j sqrt(-nu); for any other
     network the 2(n-1) companion linearization.  Roots with Im t > 0 and
@@ -208,14 +204,8 @@ def find_resonances(
     Each merged omega is reported only when the network is RESONANT there
     by the rule of two_point_impedance: some nontrivial |lambda| is at or
     below theta = SINGULAR_REL_TOL * admittance_scale(net, omega).  The
-    root's own eigenvector decides this in O(n^2) (see _certify): with z the
-    bottom half x of the eigenvector lifted to the node basis,
-
-        (||L z|| + a) * (1 + gamma_(4n+3r)) <= theta * ||z||,
-
-    where ||L z|| is the computed 2-norm of L(omega) z, a the rounding
-    allowance of _certify, r the largest number of nonzeros in a row of the
-    parts, and gamma_m = m u / (1 - m u) with u the unit roundoff.  A root
+    root's own eigenvector decides this in O(n^2), by a bound on
+    ||L(omega) z|| with a derived rounding allowance (see _certify).  A root
     that fails this test falls back to two_point_impedance(net, omega, 1, 2)
     (the verdict does not depend on the pair) and is kept only when it is
     RESONANT, so a reported omega is one where ``impnet impedance`` exits 2.
@@ -296,23 +286,28 @@ def _pencil_roots(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Roots omega of the pencil in [lo, hi], ascending, with eigenvectors.
 
-    Returns the omegas and the (n, len(omegas)) node-basis vectors z = Q x,
-    x each root's eigenvector on the complement Q of the constant vector,
-    where the pencil is t^2 a2 + t a1 + a0 with a_i = Q^T part Q.  With no
-    R or Z branch y is identically zero, and nu = t^2 solves the real
-    (n-1) pencil -a0 x = nu a2 x: each root is t = j sqrt(-nu) with x its
-    own eigenvector.  Otherwise x is the bottom half of the right
-    eigenvector of the 2(n-1) companion linearization
+    The pencil t^2 a2 + t a1 + a0 is grounded at the node g of largest
+    |c_gg| + |y_gg| + |g_gg|: a_i is the part without row and column g.
+    All (n-1) minors of a Laplacian are one cofactor, zero exactly when
+    rank L <= n - 2, so the roots are the nontrivial ones of L, and each
+    eigenvector x padded with a zero at g, the returned z (real when every
+    kept x is), is a null vector of L.  With no R or Z branch y is
+    identically zero, and nu = t^2 solves the real (n-1) pencil
+    -a0 x = nu a2 x: each root is t = j sqrt(-nu) with x its own
+    eigenvector.  Otherwise x is the bottom half of the right eigenvector
+    of the 2(n-1) companion linearization
     [[-a1, -a0], [I, 0]] - t [[a2, 0], [0, I]].
     """
-    q = _constant_complement(pencil.c.shape[0])
-    a2, a0 = q.T @ pencil.c @ q, q.T @ pencil.g @ q
-    m = q.shape[1]
+    weight = sum(np.abs(np.diag(part)) for part in pencil[:3])
+    kept = np.arange(weight.size) != np.argmax(weight)
+    grounded = np.ix_(kept, kept)
+    a2, a0 = pencil.c[grounded], pencil.g[grounded]
+    m = a0.shape[0]
     lc = not pencil.y.any()
     if lc:
         a, b = -a0, a2
     else:
-        a1 = q.T @ pencil.y @ q
+        a1 = pencil.y[grounded]
         if not a1.imag.any():  # real QZ unless fixed impedances make Y complex
             a1 = a1.real
         eye, zero = np.eye(m), np.zeros((m, m))
@@ -334,7 +329,12 @@ def _pencil_roots(
             & (omegas >= lo) & (omegas <= hi)
         )
     order = np.argsort(omegas[keep], kind="stable")
-    return omegas[keep][order], q @ v[:, keep][:, order]
+    x = v[:, keep][:, order]
+    if not x.imag.any():  # a spurious complex root makes every vector complex
+        x = x.real
+    z = np.zeros((weight.size, x.shape[1]), x.dtype)
+    z[kept] = x
+    return omegas[keep][order], z
 
 
 def _gamma(m: int) -> float:
@@ -357,14 +357,15 @@ def _certify(
     complex symmetric with L 1 = 0, so with Q an orthonormal basis of the
     complement of the constant vector 1, L = Q M Q^T with M = Q^T L Q, and
     the nontrivial Takagi values |lambda| of L are the singular values of
-    M.  For any z with projection P z off the constant vector,
-    L z = L P z = Q M Q^T z, so
+    M.  For any z with projection P z = z - mean(z) 1 off the constant
+    vector, L z = L P z = Q M Q^T z, so
 
         sigma_min(M) <= ||L z|| / ||P z||.                            (1)
 
-    z = Q x is orthogonal to 1 up to rounding, so ||P z|| = ||z|| to second
-    order in n^(3/2) u.  Everything runs in the pencil's power-of-two units,
-    where L is 2^(k+d) L(omega) = j tau c + y + g / (j tau) with
+    z is centred first, z <- z - mean(z), whatever the caller passes;
+    rounding leaves it a mean of order n u max|z_i|, so ||P z|| = ||z|| to
+    second order in n^(3/2) u.  Everything runs in the pencil's power-of-two
+    units, where L is 2^(k+d) L(omega) = j tau c + y + g / (j tau) with
     tau = 2^-k omega; the scaling is exact, and no norm squares an entry.
 
     The computed defect D = y z + j (tau (c z) - (g z) / tau) differs from
@@ -396,6 +397,7 @@ def _certify(
     is sufficient for sigma_min(M) <= theta = SINGULAR_REL_TOL * scale.
     """
     c, y, g, k, d = pencil
+    z = z - z.mean(axis=0)
     n = z.shape[0]
     r = int(((c != 0) | (y != 0) | (g != 0)).sum(axis=1).max())
     tau = np.ldexp(omegas, -k)

@@ -216,6 +216,29 @@ def test_overflowing_admittance_scale_is_input_error(tmp_path, capsys, command):
     assert "admittance scale" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("netlist,omega", [
+    ("NET 3\nR 1 2 5e307\nR 2 3 5e307\n", ["--omega", "1"]),
+    ("NET 3\nL 1 2 1\nL 2 3 1\n", ["--freq", "1e307"]),
+], ids=["resistors", "inductors"])
+def test_check_agrees_on_subnormal_admittances(tmp_path, netlist, omega):
+    # branch admittances below the smallest normal double: the direct LU
+    # lost digits and check exited 3
+    p = tmp_path / "subnormal.net"
+    p.write_text(netlist)
+    assert main(["check", str(p), *omega]) == 0
+
+
+def test_impedance_beyond_the_float_range_is_input_error(tmp_path, capsys):
+    # |Z| = 2e310 ohm printed "z_re": NaN, "z_im": -Infinity and exited 0
+    p = tmp_path / "tiny.net"
+    p.write_text("NET 3\nC 1 2 1e-310\nC 2 3 1e-310\n")
+    for argv in (["impedance", str(p), "--pair", "1", "3", "--omega", "1",
+                  "--format", "json"], ["check", str(p), "--omega", "1"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "exceeds the float range" in captured.err and captured.out == ""
+
+
 def test_too_few_branches_rejected_before_network(tmp_path, capsys):
     # 100000 nodes cannot be connected by one branch: a short input error,
     # not a DisconnectedError listing 99999 components

@@ -11,6 +11,7 @@ from impnet import (
     InvalidNodeError,
     Network,
     SingularSystem,
+    ValidationError,
     assemble_laplacian,
     check_current_conservation,
     grid_network,
@@ -85,6 +86,33 @@ def test_ground_choice_does_not_change_impedance(triangle):
     z_a = solve_direct(triangle, 1.0, 1, 2)
     z_b = solve_direct(triangle, 1.0, 2, 1)
     assert abs(z_a - z_b) <= 1e-10
+
+
+def test_subnormal_admittances_keep_their_digits():
+    # two 5e307 ohm resistors in series: admittances of 2e-308 S are
+    # subnormal, and an LU on them gave 5e307 for the exact 1e308
+    net = Network(3, (
+        Branch(1, 2, Element.resistor(5e307)),
+        Branch(2, 3, Element.resistor(5e307)),
+    ))
+    assert solve_direct(net, 1.0, 1, 3) == pytest.approx(1e308, rel=1e-14)
+    # an inductor path at 2 pi 1e307 rad/s: admittances of -1.6e-308j S
+    net = Network(3, (
+        Branch(1, 2, Element.inductor(1.0)),
+        Branch(2, 3, Element.inductor(1.0)),
+    ))
+    omega = 2.0 * math.pi * 1e307
+    assert solve_direct(net, omega, 1, 3) == pytest.approx(2j * omega, rel=1e-14)
+
+
+def test_potentials_beyond_the_float_range_rejected():
+    # two 1e-310 F capacitors in series at omega = 1: |Z| = 2e310 ohm
+    net = Network(3, (
+        Branch(1, 2, Element.capacitor(1e-310)),
+        Branch(2, 3, Element.capacitor(1e-310)),
+    ))
+    with pytest.raises(ValidationError, match="exceeds the float range"):
+        solve_direct(net, 1.0, 1, 3)
 
 
 def test_pair_validation(triangle):

@@ -15,6 +15,7 @@ from impnet import (
     InvalidNodeError,
     Network,
     SingularSystem,
+    ValidationError,
     admittance_scale,
     assemble_laplacian,
     branch_admittances,
@@ -555,6 +556,27 @@ def test_verdict_matches_direct_near_resonance(e, sign):
 
 
 # ── argument validation ──────────────────────────────────────────────────
+
+def test_impedance_beyond_the_float_range_rejected():
+    # two 1e-310 F capacitors in series at omega = 1: 1/lambda overflowed
+    # and the mode sum came out as nan - inf j; |Z| = 2e310 ohm
+    net = Network(3, (
+        Branch(1, 2, Element.capacitor(1e-310)),
+        Branch(2, 3, Element.capacitor(1e-310)),
+    ))
+    for call in (
+        lambda: two_point_impedance(net, 1.0, 1, 3),
+        lambda: impedance_matrix(net, 1.0),
+    ):
+        with pytest.raises(ValidationError, match="exceeds the float range"):
+            call()
+    # 1e-300 F: lambda is normal and Z = 2e300 / j ohm
+    net = Network(3, (
+        Branch(1, 2, Element.capacitor(1e-300)),
+        Branch(2, 3, Element.capacitor(1e-300)),
+    ))
+    assert two_point_impedance(net, 1.0, 1, 3).value == pytest.approx(-2e300j, rel=1e-14)
+
 
 def test_invalid_pairs_rejected(triangle):
     with pytest.raises(InvalidNodeError):

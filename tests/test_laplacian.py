@@ -185,6 +185,25 @@ def test_overflowing_admittance_scale_is_input_error():
     assert z == pytest.approx(1.2e-308, rel=1e-14)
 
 
+def test_admittance_scale_owns_its_overflow_guard():
+    # two parallel 1e308 S resistors: admittance_scale itself rejects the
+    # node sum of 2e308 S instead of returning inf, and node_system still
+    # names the merged admittance first
+    net = Network(3, (
+        Branch(1, 2, Element.resistor(1e-308)),
+        Branch(1, 2, Element.resistor(1e-308)),
+        Branch(2, 3, Element.resistor(1.0)),
+    ))
+    with pytest.raises(ValidationError, match="twice the admittance scale inf S"):
+        admittance_scale(net, 1.0)
+    with pytest.raises(ValidationError, match="merged admittance .* not finite"):
+        laplacian.node_system(net, 1.0)
+    # one 1e308 S resistor: a finite scale whose double is not
+    net = Network(2, (Branch(1, 2, Element.resistor(1e-308)),))
+    with pytest.raises(ValidationError, match="twice the admittance scale 1e\\+308 S"):
+        admittance_scale(net, 1.0)
+
+
 def test_cancelling_parallel_branches_with_overflowing_scale_rejected():
     # L, C and R = 1 ohm in parallel at the LC resonance: the merged
     # admittance is 1 S, but the scale, 1e308 S, still bounds nothing

@@ -10,10 +10,12 @@ import scipy.linalg
 
 from impnet import (
     Boundary,
+    Branch,
     DetectionMethod,
     Element,
     NearSingularError,
     ImpedanceStatus,
+    Network,
     ValidationError,
     eigenvalue_product_identity_check,
     find_resonances,
@@ -233,6 +235,19 @@ def _oracle_omegas(net, lo, hi):
     return omegas[np.diff(omegas, prepend=-np.inf) > resonance.MERGE_REL_TOL * omegas]
 
 
+def _lightest_first(net):
+    """net with node 1 swapped for its lightest node, the one with the
+    smallest |c_ii| + |y_ii| + |g_ii| in the balanced pencil."""
+    pencil = resonance._balance(*laplacian_parts(net))
+    weight = sum(np.abs(np.diag(part)) for part in (pencil.c, pencil.y, pencil.g))
+    swap = {1: int(np.argmin(weight)) + 1}
+    swap[swap[1]] = 1
+    return Network(net.node_count, tuple(
+        Branch(swap.get(br.node_a, br.node_a), swap.get(br.node_b, br.node_b), br.element)
+        for br in net.branches
+    ))
+
+
 def _oracle_cases():
     for boundary in (Boundary.FREE, Boundary.TOROIDAL):
         for m in (6, 8, 10, 12):
@@ -241,6 +256,11 @@ def _oracle_cases():
     rng = np.random.default_rng(17)
     for _ in range(40):
         yield random_connected_network(rng, 3, 20, "LC", 2.0), 1e-3, 1e3
+    # the search grounds the heaviest node; node 1 as the lightest one
+    # checks that the roots do not hang on the labels
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        yield _lightest_first(random_connected_network(rng, 3, 20, "LC", 2.0)), 1e-3, 1e3
 
 
 def test_pencil_matches_symmetric_definite_oracle():
@@ -266,6 +286,28 @@ def test_certificate_refuses_detuned_roots():
         residuals, certified = resonance._certify(pencil, omegas * factor, z)
         assert not certified.any()
         assert (residuals > 0.0).all()
+
+
+def test_certificate_centres_the_vectors_it_is_given():
+    # z + 1e6 * 1 has the same L z as z but a norm 8e6 times larger; only
+    # its projection off the constant vector may enter the bound, and that
+    # does not certify roots detuned by 1e-9.
+    net = grid_network(8, 8, 1.0, 1.0)
+    pencil = resonance._balance(*laplacian_parts(net))
+    omegas, z = resonance._pencil_roots(pencil, 0.1, 10.0)
+    assert omegas.size >= 43
+    for factor in (1.0 - 1e-9, 1.0 + 1e-9):
+        assert not resonance._certify(pencil, omegas * factor, z + 1e6)[1].any()
+
+
+def test_lc_roots_keep_real_vectors():
+    # The grounded 16x16 pencil has a spurious complex pair near nu = 0,
+    # which makes scipy return every eigenvector complex.
+    net = grid_network(16, 16, 1.0, 1.0)
+    pencil = resonance._balance(*laplacian_parts(net))
+    omegas, z = resonance._pencil_roots(pencil, 0.1, 10.0)
+    assert omegas.size >= 211
+    assert z.dtype == np.float64
 
 
 @pytest.mark.parametrize("net,lo,hi", [
