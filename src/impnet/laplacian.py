@@ -53,26 +53,26 @@ def branch_admittances(net: Network, omega: float) -> np.ndarray:
 
     Each value is CPython's scalar arithmetic on the element value, so
     every caller sees the same bits.  Raises ValidationError naming the
-    first element whose admittance is not finite (for example a subnormal
-    resistance or a huge capacitance).
+    first element whose admittance is 0 or not finite (for example a tiny
+    omega C, a subnormal resistance or a huge capacitance).
     """
     w = check_angular_frequency(omega)
     ys = []
     for br in net.branches:
         kind, v = br.element.kind, br.element.value
         if kind is _INDUCTOR:
-            wl = w * v  # 0 when the product underflows
-            ys.append(-1j / wl if wl else complex(0.0, -math.inf))
+            wl = w * v  # (-j / omega) / L where omega L under- or overflows
+            ys.append(-1j / wl if 0.0 < wl < math.inf else (-1j / w) / v)
         elif kind is _CAPACITOR:
             ys.append(1j * w * v)
         else:  # resistor or fixed impedance
             ys.append(1.0 / v)
     ys = np.array(ys, dtype=complex)
-    bad = np.flatnonzero(~np.isfinite(ys))
+    bad = np.flatnonzero(~np.isfinite(ys) | (ys == 0))
     if bad.size:
-        e = net.branches[bad[0]].element
+        e, y = net.branches[bad[0]].element, ys[bad[0]]
         raise ValidationError(f"admittance of {e.kind.name.lower()} {e.value!r} "
-                              f"at omega {w!r} is not finite")
+                              f"at omega {w!r} is {'not finite' if y else 0}")
     return ys
 
 

@@ -144,7 +144,7 @@ class Network:
                     f"branch ({br.node_a}, {br.node_b}) references a node "
                     f"outside 1..{n}"
                 )
-        comps = _components(n, self.branches)
+        comps = _components(n, ((br.node_a, br.node_b) for br in self.branches))
         if len(comps) > 1:
             raise DisconnectedError(comps)
 
@@ -172,8 +172,8 @@ def _as_int(value) -> int | None:
         return None
 
 
-def _components(n: int, branches) -> list[list[int]]:
-    """Connected components of the branch graph, as lists of 1-based nodes."""
+def _components(n: int, edges) -> list[list[int]]:
+    """Components of nodes 1..n joined by (a, b) edges; a lone node is its own."""
     parent = list(range(n + 1))
 
     def find(x):
@@ -182,8 +182,8 @@ def _components(n: int, branches) -> list[list[int]]:
             x = parent[x]
         return x
 
-    for br in branches:
-        ra, rb = find(br.node_a), find(br.node_b)
+    for a, b in edges:
+        ra, rb = find(a), find(b)
         if ra != rb:
             parent[rb] = ra
     groups: dict[int, list[int]] = {}

@@ -8,10 +8,11 @@ and the product of the nonconstant-mode eigenvalues of the ring Laplacian
 has a closed form that doubles as an end-to-end numerical identity check.
 General networks are handled by find_resonances: the Laplacian is affine in
 j omega and 1/(j omega), so its resonances are eigenvalues of a quadratic
-pencil in s = j omega, all found by one generalized eigensolve: of order
-n - 1 in s^2 for LC networks, whose pencil has no linear term, and of the
+pencil in s = j omega, all found by one generalized eigensolve: for LC
+networks the symmetric-definite Gamma x = omega^2 C x of order n - 1
+(Parlett, "The Symmetric Eigenvalue Problem", SIAM 1998, ch. 15), else the
 2(n - 1) companion linearization (Tisseur and Meerbergen, "The quadratic
-eigenvalue problem", SIAM Rev. 43 (2001)) otherwise.  Each is certified
+eigenvalue problem", SIAM Rev. 43 (2001)).  Each is certified
 from its own eigenvector, a backward-error bound in the sense of Tisseur,
 "Backward error and condition of polynomial eigenvalue problems", Linear
 Algebra Appl. 309 (2000); only a root that fails the certificate is
@@ -35,7 +36,8 @@ from .laplacian import (
     laplacian_parts,
 )
 from .network import (
-    Boundary, ElementKind, Network, check_grid, check_ring_size, ring_network,
+    Boundary, ElementKind, Network, _components, check_grid, check_ring_size,
+    ring_network,
 )
 
 # Two detected frequencies within this relative distance are one resonance.
@@ -192,14 +194,12 @@ def find_resonances(
     Substituting s = 2^k t with 2^k near sqrt(|Gamma| / |C|) (or the ratio
     with |Y| when C or Gamma is zero) balances the pencil, and a factor 2^d
     brings its largest coefficient to order one, so the roots do not depend
-    on the units or on the range.  One QZ solve with right eigenvectors of
-    the pencil with one node grounded gives every root t (see
-    _pencil_roots): for an LC network, where Y is identically zero, a real
-    pencil of order n-1 in nu = t^2 with t = j sqrt(-nu); for any other
-    network the 2(n-1) companion linearization.  Roots with Im t > 0 and
-    |Re t| <= sqrt(eps) |t| whose omega = 2^k Im t lies in the range are
-    merged within MERGE_REL_TOL.  When C and Gamma are both zero, L does
-    not depend on omega and nothing is reported.
+    on the units or on the range.  One eigensolve of the pencil grounded at
+    one node gives every root and its eigenvector (see _pencil_roots): one
+    eigh of order n-1 for an LC network (Y = 0), each root from the branch
+    energies of its eigenvector, else one QZ of the 2(n-1) companion
+    linearization; roots in the range are merged within MERGE_REL_TOL.
+    With C = Gamma = 0, L does not depend on omega and nothing is reported.
 
     Each merged omega is reported only when the network is RESONANT there
     by the rule of two_point_impedance: some nontrivial |lambda| is at or
@@ -209,15 +209,6 @@ def find_resonances(
     that fails this test falls back to two_point_impedance(net, omega, 1, 2)
     (the verdict does not depend on the pair) and is kept only when it is
     RESONANT, so a reported omega is one where ``impnet impedance`` exits 2.
-
-    Near omega -> 0 the singularity rule itself can hold: when Gamma is
-    singular off the constant vector, |lambda| ~ omega C falls below 1e-13
-    of the admittance scale ~ 1/(omega L), and the pencil's roots at s = 0
-    are reported when they lie in the range.  They are rounding artifacts:
-    the multiple root nu = 0 comes out at about eps, so omega is about
-    sqrt(eps) in the balanced units (near 1e-8 for the 8x8 free grid with
-    L = C = 1), and how many of them come out with nu < 0 depends on the
-    rounding.
     """
     lo, hi = check_band(omega_lo, omega_hi)
     pencil = _balance(*laplacian_parts(net))
@@ -290,51 +281,60 @@ def _pencil_roots(
     |c_gg| + |y_gg| + |g_gg|: a_i is the part without row and column g.
     All (n-1) minors of a Laplacian are one cofactor, zero exactly when
     rank L <= n - 2, so the roots are the nontrivial ones of L, and each
-    eigenvector x padded with a zero at g, the returned z (real when every
-    kept x is), is a null vector of L.  With no R or Z branch y is
-    identically zero, and nu = t^2 solves the real (n-1) pencil
-    -a0 x = nu a2 x: each root is t = j sqrt(-nu) with x its own
-    eigenvector.  Otherwise x is the bottom half of the right eigenvector
-    of the 2(n-1) companion linearization
-    [[-a1, -a0], [I, 0]] - t [[a2, 0], [0, I]].
+    eigenvector x padded with a zero at g, the returned z, is a null vector
+    of L.  With no R or Z branch, y = 0 and t = j tau with a0 x = tau^2 a2 x:
+    one eigh solves a0 x = mu (a0 + a2) x, mu = tau^2 / (1 + tau^2), with
+    a0 + a2 a grounded connected Laplacian, positive definite.  Exactly
+    c_L - 1 of the mu are 0 and c_C - 1 are 1, c_L and c_C the node groups
+    that the inductors and the capacitors join; so many are dropped at each
+    end.  Each root is tau^2 = sum_b gamma_b dz_b^2 / sum_b c_b dz_b^2 over
+    the branches b, all terms positive.  Otherwise x is the bottom half of
+    the right eigenvector of the 2(n-1) companion linearization
+    [[-a1, -a0], [I, 0]] - t [[a2, 0], [0, I]], and roots with Im t > 0 and
+    |Re t| <= sqrt(eps) |t| are kept.
     """
     weight = sum(np.abs(np.diag(part)) for part in pencil[:3])
-    kept = np.arange(weight.size) != np.argmax(weight)
+    ground = np.argmax(weight)
+    kept = np.arange(weight.size) != ground
     grounded = np.ix_(kept, kept)
     a2, a0 = pencil.c[grounded], pencil.g[grounded]
     m = a0.shape[0]
-    lc = not pencil.y.any()
-    if lc:
-        a, b = -a0, a2
+    if not pencil.y.any():
+        x = scipy.linalg.eigh(a0, a0 + a2, check_finite=False)[1]
+        x = x[:, _groups(pencil.g) - 1:m + 1 - _groups(pencil.c)]
+        z = np.insert(x, ground, 0.0, axis=0)
+        omegas = np.ldexp(np.sqrt(_energy(pencil.g, z) / _energy(pencil.c, z)),
+                          pencil.k)
     else:
         a1 = pencil.y[grounded]
         if not a1.imag.any():  # real QZ unless fixed impedances make Y complex
             a1 = a1.real
         eye, zero = np.eye(m), np.zeros((m, m))
-        a, b = np.block([[-a1, -a0], [eye, zero]]), np.block([[a2, zero], [zero, eye]])
-    (alpha, beta), v = scipy.linalg.eig(
-        a, b, right=True, overwrite_a=True, overwrite_b=True, check_finite=False,
-        homogeneous_eigvals=True,
-    )
-    if not lc:
-        v = v[m:]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = alpha / beta
-        if lc:  # t = j sqrt(-nu), the root with Im t = Re sqrt(-nu) >= 0
-            t = 1j * np.sqrt(-t)
-        omegas = np.ldexp(t.imag, pencil.k)
-        keep = (
-            np.isfinite(t) & (t.imag > 0)
-            & (np.abs(t.real) <= math.sqrt(_EPS) * np.abs(t))
-            & (omegas >= lo) & (omegas <= hi)
+        (alpha, beta), v = scipy.linalg.eig(
+            np.block([[-a1, -a0], [eye, zero]]), np.block([[a2, zero], [zero, eye]]),
+            right=True, overwrite_a=True, overwrite_b=True, check_finite=False,
+            homogeneous_eigvals=True,
         )
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t = alpha / beta
+            root = np.isfinite(t) & (t.imag > 0) & (
+                np.abs(t.real) <= math.sqrt(_EPS) * np.abs(t))
+            omegas = np.ldexp(t.imag[root], pencil.k)
+        z = np.insert(v[m:, root], ground, 0.0, axis=0)
+    keep = (omegas >= lo) & (omegas <= hi)
     order = np.argsort(omegas[keep], kind="stable")
-    x = v[:, keep][:, order]
-    if not x.imag.any():  # a spurious complex root makes every vector complex
-        x = x.real
-    z = np.zeros((weight.size, x.shape[1]), x.dtype)
-    z[kept] = x
-    return omegas[keep][order], z
+    return omegas[keep][order], z[:, keep][:, order]
+
+
+def _groups(part: np.ndarray) -> int:
+    """Node groups that the branches of part join, lone nodes counted."""
+    return len(_components(len(part), (np.argwhere(np.triu(part, 1)) + 1).tolist()))
+
+
+def _energy(part: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Per column of z, the sum of -part_ab (z_a - z_b)^2 over branches a-b."""
+    a, b = np.nonzero(np.triu(part, 1))
+    return -part[a, b] @ (z[a] - z[b]) ** 2
 
 
 def _gamma(m: int) -> float:

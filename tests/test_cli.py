@@ -239,6 +239,23 @@ def test_impedance_beyond_the_float_range_is_input_error(tmp_path, capsys):
         assert "exceeds the float range" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("netlist,omega,message", [
+    ("NET 3\nL 1 2 1e300\nL 2 3 1e300\n", "1e10", "exceeds the float range"),
+    ("NET 3\nC 1 2 1e-300\nC 2 3 1e-300\n", "1e-30",
+     "admittance of capacitor 1e-300 at omega 1e-30 is 0"),
+], ids=["inductors", "capacitors"])
+def test_vanishing_admittance_is_input_error(tmp_path, capsys, netlist, omega, message):
+    # omega L overflows or omega C underflows: both printed RESONANT and
+    # exited 2, and check agreed, for a path whose admittances are not 0
+    p = tmp_path / "tiny.net"
+    p.write_text(netlist)
+    for argv in (["impedance", str(p), "--pair", "1", "3", "--omega", omega],
+                 ["check", str(p), "--omega", omega]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+
 def test_too_few_branches_rejected_before_network(tmp_path, capsys):
     # 100000 nodes cannot be connected by one branch: a short input error,
     # not a DisconnectedError listing 99999 components

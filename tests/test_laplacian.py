@@ -49,6 +49,28 @@ def test_branch_admittance_scales_with_omega():
         assert yc == pytest.approx(1j * omega * 3.0)
 
 
+def test_branch_admittance_is_never_silently_zero():
+    # omega L = 1e310 overflows, but the inductor keeps its 1e-310 S, so a
+    # path of two of them is beyond the float range, not RESONANT
+    assert _admittance(Element.inductor(1e300), 1e10) == pytest.approx(
+        -1e-310j, rel=1e-12, abs=0.0
+    )
+    ind = Element.inductor(1e300)
+    net = Network(3, (Branch(1, 2, ind), Branch(2, 3, ind)))
+    for call in (
+        lambda: two_point_impedance(net, 1e10, 1, 3),
+        lambda: solve_direct(net, 1e10, 1, 3),
+    ):
+        with pytest.raises(ValidationError, match="exceeds the float range"):
+            call()
+    # omega C = 1e-330 underflows to 0: an input error naming the capacitor
+    with pytest.raises(ValidationError, match="capacitor 1e-300 at omega 1e-30 is 0$"):
+        _admittance(Element.capacitor(1e-300), 1e-30)
+    # omega L = 1e-400 underflows, and 1 / (omega L) is not finite either
+    with pytest.raises(ValidationError, match="inductor 1e-200 .* is not finite"):
+        _admittance(Element.inductor(1e-200), 1e-200)
+
+
 def test_check_angular_frequency():
     assert check_angular_frequency(2) == 2.0
     for bad in (0.0, -1.0, math.inf, math.nan):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +14,7 @@ from impnet import (
     Branch,
     DetectionMethod,
     Element,
+    ElementKind,
     NearSingularError,
     ImpedanceStatus,
     Network,
@@ -201,19 +203,28 @@ def test_pencil_ring_with_fixed_reactance():
     ]), False),
 ], ids=["free6x6", "toroidal8x8", "random-lc", "ring-LCZ", "ring-RLC"])
 def test_lc_networks_take_the_half_size_pencil(monkeypatch, net, half):
-    # With no R or Z branch the search is one QZ of order n - 1 in t^2;
-    # otherwise it is the 2(n - 1) companion linearization.
-    orders = []
-    eig = scipy.linalg.eig
+    # With no R or Z branch the search is one symmetric-definite eigh of
+    # order n - 1 in t^2; otherwise one QZ of the 2(n - 1) companion
+    # linearization.
+    orders = {"eig": [], "eigh": []}
 
-    def recording(a, b, **kwargs):
-        orders.append(a.shape[0])
-        return eig(a, b, **kwargs)
+    def recording(name):
+        solver = getattr(scipy.linalg, name)
 
-    monkeypatch.setattr(resonance.scipy.linalg, "eig", recording)
+        def record(a, b, **kwargs):
+            orders[name].append(a.shape[0])
+            return solver(a, b, **kwargs)
+
+        return record
+
+    for name in orders:
+        monkeypatch.setattr(resonance.scipy.linalg, name, recording(name))
     find_resonances(net, 0.1, 10.0)
     m = net.node_count - 1
-    assert orders == [m if half else 2 * m]
+    if half:
+        assert orders == {"eig": [], "eigh": [m]}
+    else:
+        assert orders == {"eig": [2 * m], "eigh": []}
 
 
 def _oracle_omegas(net, lo, hi):
@@ -270,6 +281,99 @@ def test_pencil_matches_symmetric_definite_oracle():
         assert rep.distinct_count == want.size
         assert rep.certified_count == rep.distinct_count
         assert np.all(np.abs(np.array(rep.omegas) - want) <= 1e-10 * want)
+
+
+# ── exact root counts ────────────────────────────────────────────────────
+
+_EPS = Fraction(float(np.finfo(float).eps))
+
+
+def _exact_grounded_parts(net):
+    """Gamma and C of net with node n grounded, as exact {(i, j): Fraction}
+    stamps of the element values over 0-based nodes 0..n-2."""
+    parts = {ElementKind.INDUCTOR: {}, ElementKind.CAPACITOR: {}}
+    n = net.node_count
+    for br in net.branches:
+        value = Fraction(br.element.value)
+        if br.element.kind is ElementKind.INDUCTOR:
+            value = 1 / value
+        part = parts[br.element.kind]
+        a, b = br.node_a - 1, br.node_b - 1
+        for i, j, v in ((a, a, value), (b, b, value), (a, b, -value), (b, a, -value)):
+            if i < n - 1 and j < n - 1:
+                part[i, j] = part.get((i, j), 0) + v
+    return parts[ElementKind.INDUCTOR], parts[ElementKind.CAPACITOR]
+
+
+def _inertia(gamma, cap, tau):
+    """(negative, zero) eigenvalue counts of Gamma - tau^2 C, exact.
+
+    Symmetric LDL^T on sparse rows, each pivot the nonzero diagonal of the
+    shortest remaining row; by Sylvester's law of inertia the signs of the
+    pivots are those of the eigenvalues, so the negative count is the
+    number of roots below tau, zero roots of the pencil included.
+    """
+    rows = {}
+    for (i, j), v in gamma.items():
+        rows.setdefault(i, {})[j] = v
+    for (i, j), v in cap.items():
+        row = rows.setdefault(i, {})
+        row[j] = row.get(j, 0) - tau * tau * v
+    rows = {i: {j: v for j, v in row.items() if v} for i, row in rows.items()}
+    negative = 0
+    while rows:
+        k = min((i for i, row in rows.items() if row.get(i)),
+                key=lambda i: len(rows[i]), default=None)
+        if k is None:
+            assert not any(rows.values()), "needs a 2x2 pivot"
+            return negative, len(rows)
+        pivot_row = rows.pop(k)
+        d = pivot_row.pop(k)
+        negative += d < 0
+        for i, a in pivot_row.items():
+            row = rows[i]
+            del row[k]
+            for j, b in pivot_row.items():
+                v = row.get(j, 0) - a * b / d
+                if v:
+                    row[j] = v
+                else:
+                    row.pop(j, None)
+    return negative, 0
+
+
+def test_lc_roots_match_exact_inertia_counts():
+    # Each reported omega has exact roots within 32 eps of it, and their
+    # multiplicities add up to every root in the band: no root is missed,
+    # and none is reported near omega -> 0, where a root of omega^2 = 0
+    # that rounding had moved would lie.
+    lo, hi = Fraction(1e-12), Fraction(1e12)
+    for seed, decades in ((5, 2.0), (6, 4.0)):
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            net = random_connected_network(rng, 3, 20, "LC", decades)
+            gamma, cap = _exact_grounded_parts(net)
+
+            def count(a, b):  # exact roots in [a, b], with multiplicity
+                return sum(_inertia(gamma, cap, b)) - _inertia(gamma, cap, a)[0]
+
+            rep = find_resonances(net, float(lo), float(hi))
+            found = [
+                count(Fraction(w) * (1 - 32 * _EPS), Fraction(w) * (1 + 32 * _EPS))
+                for w in rep.omegas
+            ]
+            assert all(found), (seed, rep.omegas, found)
+            assert sum(found) == count(lo, hi)
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_grid_roots_within_32_eps_of_closed_form(boundary):
+    for m in range(3, 17):
+        want = np.array(grid_resonances_analytic(m, m, 1.0, 1.0, boundary).omegas)
+        net = grid_network(m, m, 1.0, 1.0, boundary)
+        got = np.array(find_resonances(net, 0.8 * want[0], 1.2 * want[-1]).omegas)
+        assert got.size == want.size
+        assert np.all(np.abs(got - want) <= 32 * float(_EPS) * want), m
 
 
 # ── eigenvector certificate ──────────────────────────────────────────────
