@@ -13,13 +13,16 @@ Subcommands::
 Exit codes: 0 success, 1 input error, 2 resonance found by an impedance
 query, 3 cross-check failure.  All numeric output uses repr-style shortest
 round-trip formatting with '.' as the decimal separator, so repeated runs
-are byte identical.
+are byte identical.  main(argv) may be called repeatedly in one process: it
+builds its parser on the first call and reuses it, which a shell-run impnet,
+one command per process, does not notice.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -132,10 +135,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; the exit code.  Safe to call repeatedly in one
+    process: the parser is built on the first call and reused after it."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -156,7 +163,11 @@ def _load_network(path: str):
 
 def frequency(hz: str) -> float:
     """The type of --freq: the angular frequency 2 pi f of f in Hz."""
-    return 2.0 * math.pi * float(hz)
+    omega = 2.0 * math.pi * float(hz)
+    if not 0.0 < omega < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"2 pi f must be positive and finite, got f = {hz} Hz")
+    return omega
 
 
 # ── impedance ────────────────────────────────────────────────────────────
@@ -222,8 +233,12 @@ def _cmd_sweep(args) -> int:
     lo, hi = check_band(args.omega_lo, args.omega_hi)
     if args.points < 2:
         raise ValidationError("need at least 2 sweep points")
+    try:
+        omegas = np.geomspace(lo, hi, args.points)
+    except (IndexError, ValueError, MemoryError):
+        raise ValidationError(f"--points {args.points}: too many sweep points") from None
     print("omega,z_re,z_im,min_abs_lambda,status")
-    for w in np.geomspace(lo, hi, args.points):
+    for w in omegas:
         r = two_point_impedance(net, float(w), p, q)
         print(_csv_row(r))
     return EXIT_OK

@@ -10,6 +10,7 @@ from impnet import (
     Boundary, Element, SingularSystem, grid_network, grid_resonances_analytic,
     parse_netlist, ring_network, serialize_netlist,
 )
+from impnet import cli
 from impnet.cli import main
 from conftest import TRIANGLE_NETLIST, random_connected_network
 
@@ -147,6 +148,17 @@ def test_freq_is_omega_over_two_pi(capsys, triangle_path):
     ])
     doc = json.loads(capsys.readouterr().out)
     assert doc["omega"] == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("hz", ["-1", "0", "1e308", "nan"])
+def test_freq_error_names_the_hz_value_as_typed(capsys, triangle_path, hz):
+    # 2 pi f is checked, but the message gives f as typed: 1e308 Hz is
+    # reported as 1e308, not as the inf that 2 pi f overflows to.
+    code = main(["impedance", triangle_path, "--pair", "1", "2", "--freq", hz])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"got f = {hz} Hz" in captured.err
 
 
 def test_omega_and_freq_conflict(capsys, triangle_path):
@@ -512,6 +524,12 @@ def test_generate_rejects_bad_specs(capsys):
       "--points", "3"], "need omega_lo < omega_hi, got (1.0, 1.0)"),
     (["sweep", "LC", "--pair", "1", "2", "--omega-lo", "0.5", "--omega-hi", "2",
       "--points", "1"], "need at least 2 sweep points"),
+    (["sweep", "LC", "--pair", "1", "2", "--omega-lo", "0.5", "--omega-hi", "2",
+      "--points", "9223372036854775807"],
+     "--points 9223372036854775807: too many sweep points"),
+    (["sweep", "LC", "--pair", "1", "2", "--omega-lo", "0.5", "--omega-hi", "2",
+      "--points", "18446744073709551616"],
+     "--points 18446744073709551616: too many sweep points"),
 ])
 def test_input_error_messages(capsys, lc_path, argv, err):
     argv = [lc_path if a == "LC" else a for a in argv]
@@ -615,3 +633,52 @@ def test_check_mismatch_resolved_by_loose_direct_view(capsys, ring_llc_path):
     # Agreement also holds at a frequency safely away from resonance.
     omega = (1.0 / math.sqrt(2.0)) * 1.5
     assert main(["check", ring_llc_path, "--omega", repr(omega)]) == 0
+
+
+# ── one parser per process ───────────────────────────────────────────────
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch, triangle_path):
+    built = []
+
+    class CountingParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    for _ in range(3):
+        assert main(["check", triangle_path, "--omega", "1.0"]) == 0
+    # Subparsers are built with the same class under the prog "impnet NAME".
+    assert built.count("impnet") <= 1
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_reused_parser_leaks_no_state(capsys, triangle_path):
+    imp = ["impedance", triangle_path, "--pair", "1", "3"]
+    commands = [
+        ["check", triangle_path, "--omega", "1", "--pair", "1", "2"],
+        ["check", triangle_path, "--omega", "1"],
+        imp + ["--freq", "0.5"],
+        imp + ["--omega", "0.25"],
+        ["impedance", triangle_path, "--omega", "1"],
+        ["impedance", "--help"],
+        imp + ["--omega", "2", "--format", "json"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    # A command alone is a command whose parser was just built.
+    alone = []
+    for argv in commands:
+        cli._parser.cache_clear()
+        alone.append(run(argv))
+    in_sequence = [run(argv) for argv in commands]
+    assert in_sequence == alone
+    assert [code for code, _, _ in alone] == [0, 0, 0, 0, 1, 0, 0]
+    table = alone[1][1]
+    assert all(f"{pq}," in table for pq in ("1-2", "1-3", "2-3"))
+    assert "omega = 0.25 rad/s" in alone[3][1]
+    assert "usage:" in alone[4][2]
