@@ -33,7 +33,7 @@ from .impedance import (
     NEAR_RESONANCE_REL, ImpedanceResult, ImpedanceStatus, impedance_matrix,
     two_point_impedance,
 )
-from .laplacian import check_band
+from .laplacian import check_angular_frequency, check_band
 from .network import (
     Boundary, Element, ElementKind, check_pair, grid_network, make_element,
     parse_netlist, ring_network, serialize_netlist,
@@ -139,14 +139,12 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    """Run one command; the exit code.  Safe to call repeatedly in one
-    process: the parser is built on the first call and reused after it."""
+    """Run one command; callable repeatedly, it builds its parser on the first call."""
     try:
         args = _parser().parse_args(argv)
+        return args.run(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.run(args)
     except (ImpnetError, OSError) as exc:
         print(f"impnet: error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -163,11 +161,11 @@ def _load_network(path: str):
 
 def frequency(hz: str) -> float:
     """The type of --freq: the angular frequency 2 pi f of f in Hz."""
-    omega = 2.0 * math.pi * float(hz)
-    if not 0.0 < omega < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"2 pi f must be positive and finite, got f = {hz} Hz")
-    return omega
+    try:
+        return check_angular_frequency(2.0 * math.pi * float(hz))
+    except ValidationError:
+        raise ValidationError("angular frequency 2 pi f must be positive and "
+                              f"finite, got f = {hz} Hz") from None
 
 
 # ── impedance ────────────────────────────────────────────────────────────
@@ -233,14 +231,16 @@ def _cmd_sweep(args) -> int:
     lo, hi = check_band(args.omega_lo, args.omega_hi)
     if args.points < 2:
         raise ValidationError("need at least 2 sweep points")
+    too_many = f"--points {args.points}: too many sweep points"
+    if args.points > sys.maxsize // 16:  # how numpy refuses near here varies
+        raise ValidationError(too_many)
     try:
         omegas = np.geomspace(lo, hi, args.points)
-    except (IndexError, ValueError, MemoryError):
-        raise ValidationError(f"--points {args.points}: too many sweep points") from None
+    except MemoryError:
+        raise ValidationError(too_many) from None
     print("omega,z_re,z_im,min_abs_lambda,status")
     for w in omegas:
-        r = two_point_impedance(net, float(w), p, q)
-        print(_csv_row(r))
+        print(_csv_row(two_point_impedance(net, float(w), p, q)))
     return EXIT_OK
 
 

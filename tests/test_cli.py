@@ -150,15 +150,17 @@ def test_freq_is_omega_over_two_pi(capsys, triangle_path):
     assert doc["omega"] == pytest.approx(1.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("command", [["impedance", "--pair", "1", "2"], ["check"]])
 @pytest.mark.parametrize("hz", ["-1", "0", "1e308", "nan"])
-def test_freq_error_names_the_hz_value_as_typed(capsys, triangle_path, hz):
-    # 2 pi f is checked, but the message gives f as typed: 1e308 Hz is
-    # reported as 1e308, not as the inf that 2 pi f overflows to.
-    code = main(["impedance", triangle_path, "--pair", "1", "2", "--freq", hz])
+def test_freq_error_names_the_hz_value_as_typed(capsys, triangle_path, command, hz):
+    # 2 pi f is checked as --omega is, but the message gives f as typed:
+    # 1e308 Hz is reported as 1e308, not as the inf that 2 pi f overflows to.
+    code = main([command[0], triangle_path, *command[1:], "--freq", hz])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert f"got f = {hz} Hz" in captured.err
+    assert captured.err == ("impnet: error: angular frequency 2 pi f must be "
+                            f"positive and finite, got f = {hz} Hz\n")
 
 
 def test_omega_and_freq_conflict(capsys, triangle_path):
@@ -530,6 +532,11 @@ def test_generate_rejects_bad_specs(capsys):
     (["sweep", "LC", "--pair", "1", "2", "--omega-lo", "0.5", "--omega-hi", "2",
       "--points", "18446744073709551616"],
      "--points 18446744073709551616: too many sweep points"),
+    # 2**58 points, 2 EiB: more than any address space maps, so numpy's
+    # allocation fails at once with MemoryError.
+    (["sweep", "LC", "--pair", "1", "2", "--omega-lo", "0.5", "--omega-hi", "2",
+      "--points", "288230376151711744"],
+     "--points 288230376151711744: too many sweep points"),
 ])
 def test_input_error_messages(capsys, lc_path, argv, err):
     argv = [lc_path if a == "LC" else a for a in argv]
@@ -637,7 +644,8 @@ def test_check_mismatch_resolved_by_loose_direct_view(capsys, ring_llc_path):
 
 # ── one parser per process ───────────────────────────────────────────────
 
-def test_parser_is_built_once_per_process(capsys, monkeypatch, triangle_path):
+def test_parser_is_built_once_per_process(capsys, monkeypatch, request,
+                                          triangle_path):
     built = []
 
     class CountingParser(cli._Parser):
@@ -645,11 +653,15 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch, triangle_path):
             built.append(kwargs.get("prog"))
             super().__init__(*args, **kwargs)
 
+    # Start and end with an empty cache, so the count does not depend on
+    # test order and no CountingParser outlives the test.
+    cli._parser.cache_clear()
+    request.addfinalizer(cli._parser.cache_clear)
     monkeypatch.setattr(cli, "_Parser", CountingParser)
     for _ in range(3):
         assert main(["check", triangle_path, "--omega", "1.0"]) == 0
     # Subparsers are built with the same class under the prog "impnet NAME".
-    assert built.count("impnet") <= 1
+    assert built.count("impnet") == 1
     assert cli.build_parser() is not cli.build_parser()
 
 
@@ -663,6 +675,8 @@ def test_reused_parser_leaks_no_state(capsys, triangle_path):
         ["impedance", triangle_path, "--omega", "1"],
         ["impedance", "--help"],
         imp + ["--omega", "2", "--format", "json"],
+        imp + ["--freq", "-1"],
+        imp + ["--freq", "0.25"],
     ]
 
     def run(argv):
@@ -677,7 +691,7 @@ def test_reused_parser_leaks_no_state(capsys, triangle_path):
         alone.append(run(argv))
     in_sequence = [run(argv) for argv in commands]
     assert in_sequence == alone
-    assert [code for code, _, _ in alone] == [0, 0, 0, 0, 1, 0, 0]
+    assert [code for code, _, _ in alone] == [0, 0, 0, 0, 1, 0, 0, 1, 0]
     table = alone[1][1]
     assert all(f"{pq}," in table for pq in ("1-2", "1-3", "2-3"))
     assert "omega = 0.25 rad/s" in alone[3][1]
