@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .network import ElementKind, Network
+from .network import KIND_CODES, ElementKind, Network
 
 # A Laplacian is singular at omega when a pivot (direct route) or a
 # factorization value |lambda| (spectral route) is at or below this fraction
@@ -44,42 +44,43 @@ def check_band(omega_lo: float, omega_hi: float) -> tuple[float, float]:
     return lo, hi
 
 
-# Globals: several times cheaper than ElementKind's attributes in a loop.
-_INDUCTOR, _CAPACITOR = ElementKind.INDUCTOR, ElementKind.CAPACITOR
-
-
 def branch_admittances(net: Network, omega: float) -> np.ndarray:
     """Complex admittance of every branch of net at omega, in branch order.
 
-    Each value is CPython's scalar arithmetic on the element value, so
-    every caller sees the same bits.  Raises ValidationError naming the
-    first element whose admittance is 0 or not finite (for example a tiny
-    omega C, a subnormal resistance or a huge capacitance).
+    Array arithmetic on net's columns with the bits of CPython's scalars:
+    1.0 / v for R and Z (dividing by the larger part of v, where numpy would
+    multiply by a reciprocal), -1j / (omega L), or (-1j / omega) / L where
+    omega L under- or overflows, and 1j * omega * C.  Raises ValidationError
+    naming the first element whose admittance is 0 or not finite (for example
+    a tiny omega C, a subnormal resistance or a huge capacitance).
     """
     w = check_angular_frequency(omega)
-    ys = []
-    for br in net.branches:
-        kind, v = br.element.kind, br.element.value
-        if kind is _INDUCTOR:
-            wl = w * v  # (-j / omega) / L where omega L under- or overflows
-            ys.append(-1j / wl if 0.0 < wl < math.inf else (-1j / w) / v)
-        elif kind is _CAPACITOR:
-            ys.append(1j * w * v)
-        else:  # resistor or fixed impedance
-            ys.append(1.0 / v)
-    ys = np.array(ys, dtype=complex)
-    bad = np.flatnonzero(~np.isfinite(ys) | (ys == 0))
-    if bad.size:
-        e, y = net.branches[bad[0]].element, ys[bad[0]]
+    re, im = net.values.real, net.values.imag
+    ind = net.kinds == KIND_CODES[ElementKind.INDUCTOR]
+    cap = net.kinds == KIND_CODES[ElementKind.CAPACITOR]
+    ys = np.empty(re.shape, complex)  # written through its views ys.real, ys.imag
+    with np.errstate(all="ignore"):  # 0 and non-finite admittances rejected below
+        # R, Z: 1 / (re + j im) by the larger part p of re, im and the other q
+        flip = np.abs(im) > np.abs(re)
+        p, q = np.where(flip, im, re), np.where(flip, re, im)
+        ratio = q / p
+        denom = p + q * ratio
+        np.divide(1.0, denom, out=ys.real)
+        np.divide(np.where(flip, ratio + 0.0, 0.0 - ratio), denom, out=ys.imag)
+        np.copyto(ys.real, ys.imag, where=flip)
+        np.negative(1.0 / denom, out=ys.imag, where=flip)
+        wv = w * re  # omega L, or omega C
+        np.copyto(ys.real, 0.0, where=cap)
+        np.copyto(ys.imag, wv, where=cap)
+        np.copyto(ys.real, -0.0, where=ind)
+        np.divide(-1.0, wv, out=ys.imag, where=ind)
+        np.divide(-1.0 / w, re, out=ys.imag, where=ind & ((wv == 0.0) | (wv == math.inf)))
+    bad = ~np.isfinite(ys) | (ys == 0)
+    if np.count_nonzero(bad):
+        e, y = net.branches[bad.argmax()].element, ys[bad.argmax()]
         raise ValidationError(f"admittance of {e.kind.name.lower()} {e.value!r} "
                               f"at omega {w!r} is {'not finite' if y else 0}")
     return ys
-
-
-def _ends(net: Network) -> np.ndarray:
-    """0-based nodes a_0, b_0, a_1, b_1, ... joined by the branches, in order."""
-    ends = [end for br in net.branches for end in (br.node_a, br.node_b)]
-    return np.array(ends, np.intp) - 1
 
 
 def _stamp(net: Network, ys: np.ndarray) -> np.ndarray:
@@ -92,11 +93,10 @@ def _stamp(net: Network, ys: np.ndarray) -> np.ndarray:
     the diagonal of its row non-finite, so the diagonal is what is tested.
     """
     n = net.node_count
-    ends = _ends(net)
     adm = np.zeros((n, n), dtype=ys.dtype)
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
         # (a, b) then (b, a) per branch: the accumulation order of a loop
-        np.add.at(adm, (ends, ends.reshape(-1, 2)[:, ::-1].ravel()), np.repeat(ys, 2))
+        np.add.at(adm, (net.ends.ravel(), net.ends[:, ::-1].ravel()), np.repeat(ys, 2))
         diag = adm.sum(axis=1)
     if not np.isfinite(diag).all():
         raise ValidationError("a merged admittance of the network is not finite")
@@ -127,8 +127,8 @@ def laplacian_parts(net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ValidationError when an entry is not finite.
     """
     ys = branch_admittances(net, 1.0)
-    kinds = np.array([br.element.kind for br in net.branches])
-    cap, ind = kinds == _CAPACITOR, kinds == _INDUCTOR
+    cap = net.kinds == KIND_CODES[ElementKind.CAPACITOR]
+    ind = net.kinds == KIND_CODES[ElementKind.INDUCTOR]
     return (
         _stamp(net, np.where(cap, ys.imag, 0.0)),
         _stamp(net, np.where(cap | ind, 0.0, ys)),
@@ -150,7 +150,7 @@ def admittance_scale(net: Network, omega: float) -> float:
     ys = branch_admittances(net, omega)
     # the bits of a loop: hypot is abs() of a complex, bincount adds in order
     weights = np.repeat(np.hypot(ys.real, ys.imag), 2)
-    scale = float(np.bincount(_ends(net), weights, net.node_count).max())
+    scale = float(np.bincount(net.ends.ravel(), weights, net.node_count).max())
     if not math.isfinite(2.0 * scale):
         raise ValidationError(f"twice the admittance scale {scale!r} S is not finite")
     return scale
@@ -158,5 +158,6 @@ def admittance_scale(net: Network, omega: float) -> float:
 
 def node_system(net: Network, omega: float) -> tuple[np.ndarray, float]:
     """assemble_laplacian and admittance_scale of net at omega, with the
-    input errors of both; each call evaluates the branch admittances."""
+    input errors of both; each of the two evaluates the branch admittances
+    from net's columns."""
     return assemble_laplacian(net, omega), admittance_scale(net, omega)

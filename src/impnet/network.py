@@ -5,8 +5,13 @@ two-terminal branches (resistors, inductors, capacitors, or fixed complex
 impedances).  Parallel branches between the same node pair are legal and are
 kept distinct here; they are merged only when the Laplacian is assembled.
 
-Netlist grammar (UTF-8, LF or CRLF, '#' starts a comment, blank lines
-ignored)::
+A Network holds its branches as read-only array columns: ``kinds``
+(KIND_CODES), ``ends`` (0-based nodes, shape (b, 2)) and complex ``values``.
+parse_netlist fills them without per-branch objects, the numeric modules
+read them, and the tuple ``branches`` is built from them on first access.
+
+Netlist grammar (UTF-8, lines end at LF, CRLF or CR, '#' starts a comment,
+blank lines ignored)::
 
     NET <node_count>
     R <a> <b> <ohms>
@@ -15,7 +20,7 @@ ignored)::
     Z <a> <b> <re_ohms> <im_ohms>
 
 Node labels are 1-based in files and in every public signature; they are
-converted to 0-based array indices only inside the numeric modules.
+0-based array indices only in ``ends`` and inside the numeric modules.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .errors import (
     DisconnectedError,
@@ -57,28 +64,9 @@ class Element:
     value: float | complex
 
     def __post_init__(self):
-        if self.kind is ElementKind.IMPEDANCE:
-            z = complex(self.value)
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                raise ValidationError("fixed impedance must be finite")
-            if z == 0:
-                raise ValidationError("fixed impedance must be nonzero")
-            object.__setattr__(self, "value", z)
-        else:
-            v = self.value
-            if isinstance(v, complex):
-                if v.imag != 0:
-                    raise ValidationError(
-                        f"{self.kind.name.lower()} value must be real"
-                    )
-                v = v.real
-            v = float(v)
-            if not math.isfinite(v) or v <= 0:
-                raise ValidationError(
-                    f"{self.kind.name.lower()} value must be positive and "
-                    f"finite, got {self.value!r}"
-                )
-            object.__setattr__(self, "value", v)
+        if not isinstance(self.kind, ElementKind):
+            raise ValidationError(f"element kind {self.kind!r} is not an ElementKind")
+        object.__setattr__(self, "value", _check_value(self.kind, self.value))
 
     @classmethod
     def resistor(cls, ohms: float) -> "Element":
@@ -97,6 +85,24 @@ class Element:
         return cls(ElementKind.IMPEDANCE, ohms)
 
 
+def _check_value(kind: ElementKind, value):
+    """value as an Element of kind holds it, or ValidationError."""
+    if kind is ElementKind.IMPEDANCE:
+        z = complex(value)
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise ValidationError("fixed impedance must be finite")
+        if z == 0:
+            raise ValidationError("fixed impedance must be nonzero")
+        return z
+    if isinstance(value, complex) and value.imag != 0:
+        raise ValidationError(f"{kind.name.lower()} value must be real")
+    v = float(value.real if isinstance(value, complex) else value)
+    if not math.isfinite(v) or v <= 0:
+        raise ValidationError(f"{kind.name.lower()} value must be positive and "
+                              f"finite, got {value!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class Branch:
     """One element joining two distinct 1-based nodes."""
@@ -109,17 +115,30 @@ class Branch:
         a, b = _as_int(self.node_a), _as_int(self.node_b)
         if a is None or b is None:
             raise ValidationError("node labels must be integers")
-        if a < 1 or b < 1:
-            raise ValidationError(f"node labels must be >= 1, got ({a}, {b})")
-        if a == b:
-            raise ValidationError(f"self-loop at node {a} is not allowed")
+        _check_ends(a, b)
         object.__setattr__(self, "node_a", a)
         object.__setattr__(self, "node_b", b)
 
 
-@dataclass(frozen=True)
+def _check_ends(a: int, b: int, n: float = math.inf) -> None:
+    """Raise ValidationError unless int labels a and b are distinct in 1..n."""
+    if a > n or b > n:
+        raise ValidationError(f"branch ({a}, {b}) references a node outside 1..{n}")
+    if a < 1 or b < 1:
+        raise ValidationError(f"node labels must be >= 1, got ({a}, {b})")
+    if a == b:
+        raise ValidationError(f"self-loop at node {a} is not allowed")
+
+
+# The code of each kind in Network.kinds: its position in ElementKind.
+KIND_CODES = {kind: code for code, kind in enumerate(ElementKind)}
+_KIND_OF_CODE = tuple(ElementKind)
+
+
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class Network:
-    """Immutable network: node count plus an ordered tuple of branches.
+    """Immutable network: node count plus its branches as columns (see the
+    module docstring); equal, hashed, shown and pickled as (node_count, branches).
 
     Construction validates node ranges, rejects self-loops (via Branch) and
     empty branch lists, and requires the branch graph to connect all nodes;
@@ -127,26 +146,58 @@ class Network:
     """
 
     node_count: int
-    branches: tuple[Branch, ...]
+    kinds: np.ndarray
+    ends: np.ndarray
+    values: np.ndarray
 
-    def __post_init__(self):
-        n = _as_int(self.node_count)
+    def __init__(self, node_count: int, branches) -> None:
+        n = _as_int(node_count)
         if n is None or n < 1:
-            raise ValidationError(f"node_count must be a positive int, "
-                                  f"got {self.node_count!r}")
-        object.__setattr__(self, "node_count", n)
-        object.__setattr__(self, "branches", tuple(self.branches))
-        if not self.branches:
+            raise ValidationError(f"node_count must be a positive int, got {node_count!r}")
+        branches = tuple(branches)
+        for br in branches:
+            _check_ends(br.node_a, br.node_b, n)
+        self._fill(n, [KIND_CODES[br.element.kind] for br in branches],
+                   [end - 1 for br in branches for end in (br.node_a, br.node_b)],
+                   [br.element.value for br in branches], branches)
+
+    def _fill(self, n: int, kinds: list, ends: list, values: list, branches) -> Network:
+        """self with columns from checked lists (kind codes, 0-based a0, b0, a1,
+        b1... and values); raise unless there are branches joining all n nodes."""
+        if not kinds:
             raise ValidationError("network has no branches")
-        for br in self.branches:
-            if br.node_a > n or br.node_b > n:
-                raise ValidationError(
-                    f"branch ({br.node_a}, {br.node_b}) references a node "
-                    f"outside 1..{n}"
-                )
-        comps = _components(n, ((br.node_a, br.node_b) for br in self.branches))
+        comps = _components(n, ends)
         if len(comps) > 1:
             raise DisconnectedError(comps)
+        columns = dict(kinds=np.array(kinds, np.int8), values=np.array(values, complex),
+                       ends=np.array(ends, np.intp).reshape(-1, 2))
+        for column in columns.values():
+            column.flags.writeable = False
+        vars(self).update(columns, node_count=n, _branches=branches)  # frozen: no setattr
+        return self
+
+    @property
+    def branches(self) -> tuple[Branch, ...]:
+        """The branches as Branch objects, in order."""
+        if self._branches is None:  # Element takes an R, L or C value as v.real
+            columns = zip(self.kinds.tolist(), self.ends.tolist(), self.values.tolist())
+            object.__setattr__(self, "_branches", tuple(
+                Branch(a + 1, b + 1, Element(_KIND_OF_CODE[k], v)) for k, (a, b), v in columns))
+        return self._branches
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.node_count, self.branches) == (other.node_count, other.branches)
+
+    def __hash__(self):
+        return hash((self.node_count, self.branches))
+
+    def __repr__(self):
+        return f"Network(node_count={self.node_count!r}, branches={self.branches!r})"
+
+    def __reduce__(self):
+        return Network, (self.node_count, self.branches)
 
 
 def check_pair(net: Network, p: int, q: int) -> tuple[int, int]:
@@ -172,9 +223,9 @@ def _as_int(value) -> int | None:
         return None
 
 
-def _components(n: int, edges) -> list[list[int]]:
-    """Components of nodes 1..n joined by (a, b) edges; a lone node is its own."""
-    parent = list(range(n + 1))
+def _components(n: int, ends: list[int]) -> list[list[int]]:
+    """Components (1-based labels) of n nodes joined at 0-based a0, b0, a1, b1..."""
+    parent = list(range(n))
 
     def find(x):
         while parent[x] != x:
@@ -182,13 +233,14 @@ def _components(n: int, edges) -> list[list[int]]:
             x = parent[x]
         return x
 
-    for a, b in edges:
+    pairs = iter(ends)
+    for a, b in zip(pairs, pairs):
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[rb] = ra
     groups: dict[int, list[int]] = {}
-    for node in range(1, n + 1):
-        groups.setdefault(find(node), []).append(node)
+    for node in range(n):
+        groups.setdefault(find(node), []).append(node + 1)
     return list(groups.values())
 
 
@@ -201,9 +253,9 @@ def parse_netlist(text: str) -> Network:
     text, ValidationError for semantically bad entries, DisconnectedError if
     the graph does not connect all declared nodes.
     """
-    node_count = None
-    branches: list[Branch] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    node_count, kinds, ends, values = None, [], [], []
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
@@ -215,43 +267,50 @@ def parse_netlist(text: str) -> Network:
                 if node_count < 1:
                     raise ValidationError("node count must be >= 1")
                 continue
-            element = make_element(tokens[0], tokens[3:])
+            _, code, value = _element(tokens[0], tokens[3:])
             a = _parse(int, tokens[1], "node label")
             b = _parse(int, tokens[2], "node label")
-            if a > node_count or b > node_count:
-                raise ValidationError(
-                    f"branch ({a}, {b}) references a node outside 1..{node_count}"
-                )
-            branches.append(Branch(a, b, element))
+            _check_ends(a, b, node_count)
         except NetlistSyntaxError as exc:
             raise NetlistSyntaxError(lineno, exc.reason) from None
         except ValidationError as exc:
             raise ValidationError(f"line {lineno}: {exc}") from None
+        kinds.append(code)
+        ends += a - 1, b - 1
+        values.append(value)
     if node_count is None:
         raise NetlistSyntaxError(None, "empty netlist: missing 'NET' header")
-    if node_count > len(branches) + 1:  # before Network's O(node_count) check
+    if node_count > len(kinds) + 1:  # before the O(node_count) connectivity check
         raise ValidationError(f"{node_count} nodes need at least {node_count - 1} "
-                              f"branches to be connected, got {len(branches)}")
-    return Network(node_count, tuple(branches))
+                              f"branches to be connected, got {len(kinds)}")
+    return Network.__new__(Network)._fill(node_count, kinds, ends, values, None)
 
 
-# Value tokens after each kind letter: R, L and C take their value, Z its
-# real and imaginary parts.
-_VALUE_COUNT = {"R": 1, "L": 1, "C": 1, "Z": 2}
-_KINDS = {kind.value: kind for kind in ElementKind}
+# Per kind letter: its kind, code and value tokens (R, L and C take their
+# value, Z its real and imaginary parts).
+_LETTERS = {kind.value: (kind, code, 1 + (kind is ElementKind.IMPEDANCE))
+            for kind, code in KIND_CODES.items()}
 
 
 def make_element(kind: str, values) -> Element:
     """The Element of kind letter R, L, C or Z from its value tokens, as on a
     netlist line.  Bad tokens raise NetlistSyntaxError without a line number,
     values that Element rejects ValidationError."""
-    count = _VALUE_COUNT.get(kind)
-    if count is None:
-        raise NetlistSyntaxError(None, f"element kind {kind!r} is not R, L, C or Z")
+    kind, _, value = _element(kind, values)
+    return Element(kind, value)
+
+
+def _element(letter: str, values) -> tuple[ElementKind, int, float | complex]:
+    """make_element's kind, its code and the checked value."""
+    if letter not in _LETTERS:
+        raise NetlistSyntaxError(None, f"element kind {letter!r} is not R, L, C or Z")
+    kind, code, count = _LETTERS[letter]
     if len(values) != count:
-        raise NetlistSyntaxError(None, f"{kind} takes {count} value(s), got {values}")
-    numbers = [_parse(float, v, "numeric value") for v in values]
-    return Element(_KINDS[kind], complex(*numbers) if count == 2 else numbers[0])
+        raise NetlistSyntaxError(None, f"{letter} takes {count} value(s), got {values}")
+    value = _parse(float, values[0], "numeric value")
+    if count == 2:
+        value = complex(value, _parse(float, values[1], "numeric value"))
+    return kind, code, _check_value(kind, value)
 
 
 def _parse(convert, token: str, what: str):
@@ -271,7 +330,7 @@ def serialize_netlist(net: Network) -> str:
     lines = [f"NET {net.node_count}"]
     for br in net.branches:
         kind, v = br.element.kind.value, br.element.value
-        values = (v.real, v.imag)[:_VALUE_COUNT[kind]]  # R, L, C: v.real is v
+        values = (v.real, v.imag)[:_LETTERS[kind][2]]  # R, L, C: v.real is v
         lines.append(f"{kind} {br.node_a} {br.node_b} " + " ".join(map(_fmt, values)))
     return "\n".join(lines) + "\n"
 

@@ -328,7 +328,7 @@ def _pencil_roots(
 
 def _groups(part: np.ndarray) -> int:
     """Node groups that the branches of part join, lone nodes counted."""
-    return len(_components(len(part), (np.argwhere(np.triu(part, 1)) + 1).tolist()))
+    return len(_components(len(part), np.argwhere(np.triu(part, 1)).ravel().tolist()))
 
 
 def _energy(part: np.ndarray, z: np.ndarray) -> np.ndarray:

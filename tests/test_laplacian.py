@@ -1,5 +1,6 @@
 """Laplacian assembly, admittances, and the constant parts."""
 
+import cmath
 import math
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 from impnet import (
     Branch,
     Element,
+    ElementKind,
     Network,
     ValidationError,
     admittance_scale,
@@ -69,6 +71,73 @@ def test_branch_admittance_is_never_silently_zero():
     # omega L = 1e-400 underflows, and 1 / (omega L) is not finite either
     with pytest.raises(ValidationError, match="inductor 1e-200 .* is not finite"):
         _admittance(Element.inductor(1e-200), 1e-200)
+
+
+def _scalar_admittance(element, omega):
+    """The admittance in CPython scalar arithmetic: the reference whose
+    bits branch_admittances reproduces with arrays."""
+    kind, v = element.kind, element.value
+    if kind is ElementKind.INDUCTOR:
+        wl = omega * v  # (-j / omega) / L where omega L under- or overflows
+        return -1j / wl if 0.0 < wl < math.inf else (-1j / omega) / v
+    if kind is ElementKind.CAPACITOR:
+        return 1j * omega * v
+    return 1.0 / v  # resistor or fixed impedance
+
+
+def _extreme_element(rng):
+    kind = ElementKind(rng.choice(list("RLCZ")))
+    if kind is not ElementKind.IMPEDANCE:
+        return Element(kind, float(10.0 ** rng.uniform(-320, 308)))
+    re, im = (float(rng.choice([-1, 1]) * 10.0 ** rng.uniform(-200, 200))
+              for _ in range(2))
+    # both orders of |re| and |im|, exact zero parts and equal magnitudes
+    re, im = [(re, im), (0.0, im), (re, 0.0), (-0.0, im), (re, -re), (im, re)][
+        int(rng.integers(0, 6))]
+    return Element.impedance(complex(re, im))
+
+
+def test_branch_admittances_are_the_scalar_bits():
+    rng = np.random.default_rng(29)
+    elements = [_extreme_element(rng) for _ in range(400)]
+    omegas = [1e-300, 1e-10, 0.7, 1.0, 1e10, 1e300]
+    omegas += [float(10.0 ** rng.uniform(-300, 300)) for _ in range(6)]
+    overflows = underflows = 0
+    for omega in omegas:
+        with np.errstate(all="ignore"):
+            scalar = [complex(_scalar_admittance(e, omega)) for e in elements]
+        good = [cmath.isfinite(y) and y != 0 for y in scalar]
+        kept = [e for e, ok in zip(elements, good) if ok]
+        net = Network(len(kept) + 1, [Branch(k + 1, k + 2, e) for k, e in enumerate(kept)])
+        reference = np.array([y for y, ok in zip(scalar, good) if ok], dtype=complex)
+        assert branch_admittances(net, omega).tobytes() == reference.tobytes()
+        for e, y, ok in zip(elements, scalar, good):
+            if e.kind is ElementKind.INDUCTOR:
+                overflows += ok and omega * e.value == math.inf
+                underflows += omega * e.value == 0.0
+            if not ok:
+                with pytest.raises(ValidationError) as exc:
+                    _admittance(e, omega)
+                assert str(exc.value) == (
+                    f"admittance of {e.kind.name.lower()} {e.value!r} at "
+                    f"omega {omega!r} is {'not finite' if y else 0}")
+    assert overflows and underflows
+
+
+def test_admittance_errors_name_the_element():
+    with pytest.raises(ValidationError) as exc:
+        _admittance(Element.capacitor(1e-200), 1e-200)
+    assert str(exc.value) == "admittance of capacitor 1e-200 at omega 1e-200 is 0"
+    with pytest.raises(ValidationError) as exc:
+        _admittance(Element.resistor(1e-310), 1.0)
+    assert str(exc.value) == "admittance of resistor 1e-310 at omega 1.0 is not finite"
+    # the first bad branch is named
+    net = Network(3, (Branch(1, 2, Element.resistor(1.0)),
+                      Branch(2, 3, Element.impedance(5e-324j)),
+                      Branch(1, 3, Element.resistor(1e-310))))
+    with pytest.raises(ValidationError) as exc:
+        branch_admittances(net, 1.0)
+    assert str(exc.value) == "admittance of impedance 5e-324j at omega 1.0 is not finite"
 
 
 def test_check_angular_frequency():

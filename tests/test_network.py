@@ -1,6 +1,8 @@
 """Netlist parsing, serialization, and network construction."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from impnet import (
     DisconnectedError,
     Element,
     ElementKind,
+    ImpnetError,
     NetlistSyntaxError,
     Network,
     ValidationError,
@@ -19,7 +22,7 @@ from impnet import (
     ring_network,
     serialize_netlist,
 )
-from conftest import TRIANGLE_NETLIST
+from conftest import TRIANGLE_NETLIST, random_connected_network
 
 # ── elements ─────────────────────────────────────────────────────────────
 
@@ -42,6 +45,12 @@ def test_element_rejects_nonpositive_real(value):
 def test_element_rejects_complex_rlc():
     with pytest.raises(ValidationError):
         Element(ElementKind.RESISTOR, 1 + 1j)
+
+
+def test_element_rejects_a_kind_that_is_not_an_element_kind():
+    for kind in ("R", None):
+        with pytest.raises(ValidationError, match="is not an ElementKind"):
+            Element(kind, 1.0)
 
 
 def test_impedance_rejects_zero_and_nonfinite():
@@ -221,6 +230,78 @@ def test_parse_nonpositive_element_reports_line():
     assert "line 2" in str(exc.value)
 
 
+# Two faults per netlist, on different lines or on one: the first bad line
+# wins, and on a line the value is checked before the labels, the labels'
+# range before their sign and a self-loop.
+_PARSE_ERRORS = [
+    ("NET 3\nR 2 2 1\nR 1 2 -1\n", ValidationError,
+     "line 2: self-loop at node 2 is not allowed"),
+    ("NET 3\nR 0 2 -1\n", ValidationError,
+     "line 2: resistor value must be positive and finite, got -1.0"),
+    ("NET 3\nR 0 2 1\nR 1 5 1\n", ValidationError,
+     "line 2: node labels must be >= 1, got (0, 2)"),
+    ("NET 3\nR 4 4 1\n", ValidationError,
+     "line 2: branch (4, 4) references a node outside 1..3"),
+    ("NET 3\nR 0 4 1\n", ValidationError,
+     "line 2: branch (0, 4) references a node outside 1..3"),
+    ("NET 3\nR x 2 -1\n", ValidationError,
+     "line 2: resistor value must be positive and finite, got -1.0"),
+    ("NET 3\nR x 2 abc\n", NetlistSyntaxError, "line 2: bad numeric value 'abc'"),
+    ("NET 3\nQ x 2 1\n", NetlistSyntaxError,
+     "line 2: element kind 'Q' is not R, L, C or Z"),
+    ("NET 3\nR 2 2\n", NetlistSyntaxError, "line 2: R takes 1 value(s), got []"),
+    ("NET 3\nC 1 2 1 2\nR 2 3 -0\n", NetlistSyntaxError,
+     "line 2: C takes 1 value(s), got ['1', '2']"),
+    ("NET 3\nZ 1 1 0 0\n", ValidationError, "line 2: fixed impedance must be nonzero"),
+    ("NET 3\nZ 1 x 0 nan\n", ValidationError, "line 2: fixed impedance must be finite"),
+    ("NET 3\nL 1 2 1\nC 3 y 1\n", NetlistSyntaxError, "line 3: bad node label 'y'"),
+    ("NET 3\nR 1.5 2 1\n", NetlistSyntaxError, "line 2: bad node label '1.5'"),
+    ("NET 3\nR 1 2 1e400\nR 2 2 1\n", ValidationError,
+     "line 2: resistor value must be positive and finite, got inf"),
+    ("NET 5\nR 1 2 1\nR 1 2 x\n", NetlistSyntaxError, "line 3: bad numeric value 'x'"),
+    ("NET 5\nR 1 2 1\nR 1 1 1\n", ValidationError,
+     "line 3: self-loop at node 1 is not allowed"),
+    ("NET 5\nR 1 2 1\n", ValidationError,
+     "5 nodes need at least 4 branches to be connected, got 1"),
+    ("NET 4\nR 1 2 1\nR 3 4 1\nR 1 2 0\n", ValidationError,
+     "line 4: resistor value must be positive and finite, got 0.0"),
+    ("NET 4\nR 1 2 1\nR 3 4 1\nR 3 4 1\n", DisconnectedError,
+     "network is not connected: components {1, 2} / {3, 4}"),
+    ("NET 0\nR 1 2 x\n", ValidationError, "line 1: node count must be >= 1"),
+    ("NET x\nR 1 1 1\n", NetlistSyntaxError, "line 1: bad node count 'x'"),
+    ("# c\nR 1 2 1\nNET 3\n", NetlistSyntaxError,
+     "line 2: header must be 'NET <node_count>'"),
+    ("NET 1\n", ValidationError, "network has no branches"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", _PARSE_ERRORS)
+def test_parse_error_table(text, error, message):
+    with pytest.raises(ImpnetError) as exc:
+        parse_netlist(text)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+# Characters that str.splitlines() breaks at but a netlist does not: inside
+# a line they separate tokens, as str.split() does.
+_NOT_LINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", _NOT_LINE_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_lines_break_only_at_lf_crlf_or_cr(char):
+    net = parse_netlist(f"NET 3\nR 1 2{char}1.0\nR 2 3 2.0\n")
+    assert net.branches == (Branch(1, 2, Element.resistor(1.0)),
+                            Branch(2, 3, Element.resistor(2.0)))
+    with pytest.raises(NetlistSyntaxError) as exc:
+        parse_netlist(f"NET 3\nR 1 2 1.0{char}\nR 2 x 1.0\n")
+    assert exc.value.line == 3
+    mixed = f"NET 3\r\nR 1 2 1.0{char}\rR 2 3 2.0\n\nR 1 3 x\n"
+    with pytest.raises(NetlistSyntaxError) as exc:
+        parse_netlist(mixed)
+    assert exc.value.line == 5
+
+
 # ── serialization round trip ─────────────────────────────────────────────
 
 def test_serialize_round_trip_exact():
@@ -240,6 +321,41 @@ def test_serialize_round_trip_exact():
         for b1, b2 in zip(net.branches, back.branches):
             assert b1 == b2
         assert serialize_netlist(back) == text
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ring_network(5, [Element.resistor(1.0), Element.inductor(2e-3),
+                             Element.capacitor(3e-6), Element.impedance(4 - 5j),
+                             Element.impedance(complex(-0.0, 1.0))]),
+    lambda: grid_network(3, 4, 1.0, 2.0, Boundary.TOROIDAL),
+    lambda: random_connected_network(np.random.default_rng(3), 12, 12),
+], ids=["ring", "grid", "rlcz"])
+def test_network_api(build):
+    net = build()
+    back = parse_netlist(serialize_netlist(net))
+    assert net == back and hash(net) == hash(back) and net.branches == back.branches
+    assert type(net.branches) is tuple
+    assert all(type(br) is Branch for br in back.branches)
+    assert repr(net) == repr(back) == (
+        f"Network(node_count={net.node_count!r}, branches={net.branches!r})")
+    for copied in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
+        assert copied == net and hash(copied) == hash(net)
+        assert repr(copied) == repr(net)
+    assert net != Network(net.node_count, net.branches[1:] + net.branches[:1])
+    for target in (net, back):
+        with pytest.raises(AttributeError):
+            target.node_count = 7
+        with pytest.raises(AttributeError):
+            target.branches = ()
+        for column in (target.kinds, target.ends, target.values):
+            with pytest.raises(ValueError):
+                column[0] = column[1]
+    # the columns: kind codes, 0-based ends, complex values
+    assert back.ends.shape == (len(net.branches), 2)
+    assert back.ends.tolist() == [[br.node_a - 1, br.node_b - 1] for br in net.branches]
+    assert back.values.tolist() == [complex(br.element.value) for br in net.branches]
+    assert [list(ElementKind)[k] for k in back.kinds.tolist()] == [
+        br.element.kind for br in net.branches]
 
 
 def test_serialize_triangle_matches_reference(triangle):
