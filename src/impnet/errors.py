@@ -19,14 +19,21 @@ class ValidationError(ImpnetError):
 
 
 class DisconnectedError(ValidationError):
-    """Network graph is not connected. Carries the node components."""
+    """Network graph is not connected. Carries all node components; the
+    message names at most the first three, each by at most eight labels."""
 
     def __init__(self, components):
         self.components = tuple(tuple(sorted(c)) for c in components)
-        parts = " / ".join(
-            "{" + ", ".join(str(n) for n in c) + "}" for c in self.components
-        )
+        parts = " / ".join(map(_braced, self.components[:3]))
+        if len(self.components) > 3:
+            parts += f" / ... ({len(self.components)} components)"
         super().__init__(f"network is not connected: components {parts}")
+
+
+def _braced(nodes) -> str:
+    """{a, b, ...} of at most eight node labels, then the count if more."""
+    more = f", ... ({len(nodes)} nodes)" if len(nodes) > 8 else ""
+    return "{" + ", ".join(map(str, nodes[:8])) + more + "}"
 
 
 class InvalidNodeError(ImpnetError):

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .network import KIND_CODES, ElementKind, Network
+from .network import KIND_CODES, ElementKind, Network, _as_number, _column_element
 
 # A Laplacian is singular at omega when a pivot (direct route) or a
 # factorization value |lambda| (spectral route) is at or below this fraction
@@ -27,8 +27,10 @@ SINGULAR_REL_TOL = 1e-13
 
 
 def check_angular_frequency(omega: float) -> float:
-    """Validate omega (rad/s): positive and finite."""
-    w = float(omega)
+    """Validate omega (rad/s): a real number, positive and finite."""
+    w = _as_number(omega)
+    if w is None:
+        raise ValidationError(f"angular frequency must be a real number, got {omega!r}")
     if not math.isfinite(w) or w <= 0:
         raise ValidationError(
             f"angular frequency must be positive and finite, got {omega!r}"
@@ -77,7 +79,8 @@ def branch_admittances(net: Network, omega: float) -> np.ndarray:
         np.divide(-1.0 / w, re, out=ys.imag, where=ind & ((wv == 0.0) | (wv == math.inf)))
     bad = ~np.isfinite(ys) | (ys == 0)
     if np.count_nonzero(bad):
-        e, y = net.branches[bad.argmax()].element, ys[bad.argmax()]
+        k = bad.argmax()
+        e, y = _column_element(net.kinds[k], net.values[k]), ys[k]
         raise ValidationError(f"admittance of {e.kind.name.lower()} {e.value!r} "
                               f"at omega {w!r} is {'not finite' if y else 0}")
     return ys

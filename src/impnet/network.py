@@ -5,10 +5,10 @@ two-terminal branches (resistors, inductors, capacitors, or fixed complex
 impedances).  Parallel branches between the same node pair are legal and are
 kept distinct here; they are merged only when the Laplacian is assembled.
 
-A Network holds its branches as read-only array columns: ``kinds``
+A Network is its node count and three read-only array columns: ``kinds``
 (KIND_CODES), ``ends`` (0-based nodes, shape (b, 2)) and complex ``values``.
-parse_netlist fills them without per-branch objects, the numeric modules
-read them, and the tuple ``branches`` is built from them on first access.
+Every way to build one ends in Network._fill, which holds the structural
+checks; the ``branches`` property builds Branch objects from the columns.
 
 Netlist grammar (UTF-8, lines end at LF, CRLF or CR, '#' starts a comment,
 blank lines ignored)::
@@ -26,6 +26,7 @@ Node labels are 1-based in files and in every public signature; they are
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -88,15 +89,17 @@ class Element:
 def _check_value(kind: ElementKind, value):
     """value as an Element of kind holds it, or ValidationError."""
     if kind is ElementKind.IMPEDANCE:
-        z = complex(value)
+        z = _as_number(value, complex)
+        if z is None:
+            raise ValidationError(f"fixed impedance must be a number, got {value!r}")
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise ValidationError("fixed impedance must be finite")
         if z == 0:
             raise ValidationError("fixed impedance must be nonzero")
         return z
-    if isinstance(value, complex) and value.imag != 0:
-        raise ValidationError(f"{kind.name.lower()} value must be real")
-    v = float(value.real if isinstance(value, complex) else value)
+    v = _as_number(value)
+    if v is None:
+        raise ValidationError(f"{kind.name.lower()} value must be a real number, got {value!r}")
     if not math.isfinite(v) or v <= 0:
         raise ValidationError(f"{kind.name.lower()} value must be positive and "
                               f"finite, got {value!r}")
@@ -116,8 +119,14 @@ class Branch:
         if a is None or b is None:
             raise ValidationError("node labels must be integers")
         _check_ends(a, b)
+        _check_element(self.element)
         object.__setattr__(self, "node_a", a)
         object.__setattr__(self, "node_b", b)
+
+
+def _check_element(element) -> None:
+    if not isinstance(element, Element):
+        raise ValidationError(f"{element!r} is not an Element")
 
 
 def _check_ends(a: int, b: int, n: float = math.inf) -> None:
@@ -138,11 +147,12 @@ _KIND_OF_CODE = tuple(ElementKind)
 @dataclass(frozen=True, init=False, repr=False, eq=False)
 class Network:
     """Immutable network: node count plus its branches as columns (see the
-    module docstring); equal, hashed, shown and pickled as (node_count, branches).
+    module docstring), equal and hashed by them; shown as (node_count, branches).
 
-    Construction validates node ranges, rejects self-loops (via Branch) and
-    empty branch lists, and requires the branch graph to connect all nodes;
-    a DisconnectedError names the components otherwise.
+    Construction validates node ranges, rejects self-loops (via Branch),
+    items that are not Branches and fewer than node_count - 1 branches, and
+    requires the branch graph to connect all nodes; a DisconnectedError
+    names the components otherwise.
     """
 
     node_count: int
@@ -156,14 +166,19 @@ class Network:
             raise ValidationError(f"node_count must be a positive int, got {node_count!r}")
         branches = tuple(branches)
         for br in branches:
+            if not isinstance(br, Branch):
+                raise ValidationError(f"network branch {br!r} is not a Branch")
             _check_ends(br.node_a, br.node_b, n)
         self._fill(n, [KIND_CODES[br.element.kind] for br in branches],
                    [end - 1 for br in branches for end in (br.node_a, br.node_b)],
-                   [br.element.value for br in branches], branches)
+                   [br.element.value for br in branches])
 
-    def _fill(self, n: int, kinds: list, ends: list, values: list, branches) -> Network:
+    def _fill(self, n: int, kinds: list, ends: list, values: list) -> Network:
         """self with columns from checked lists (kind codes, 0-based a0, b0, a1,
         b1... and values); raise unless there are branches joining all n nodes."""
+        if n > len(kinds) + 1:  # before the O(n) connectivity check
+            raise ValidationError(f"{n} nodes need at least {n - 1} branches "
+                                  f"to be connected, got {len(kinds)}")
         if not kinds:
             raise ValidationError("network has no branches")
         comps = _components(n, ends)
@@ -173,31 +188,38 @@ class Network:
                        ends=np.array(ends, np.intp).reshape(-1, 2))
         for column in columns.values():
             column.flags.writeable = False
-        vars(self).update(columns, node_count=n, _branches=branches)  # frozen: no setattr
+        vars(self).update(columns, node_count=n)  # frozen: no setattr
         return self
 
     @property
     def branches(self) -> tuple[Branch, ...]:
-        """The branches as Branch objects, in order."""
-        if self._branches is None:  # Element takes an R, L or C value as v.real
-            columns = zip(self.kinds.tolist(), self.ends.tolist(), self.values.tolist())
-            object.__setattr__(self, "_branches", tuple(
-                Branch(a + 1, b + 1, Element(_KIND_OF_CODE[k], v)) for k, (a, b), v in columns))
-        return self._branches
+        """The branches as Branch objects, in order, built from the columns."""
+        columns = zip(self.kinds.tolist(), self.ends.tolist(), self.values.tolist())
+        return tuple(Branch(a + 1, b + 1, _column_element(k, v)) for k, (a, b), v in columns)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.node_count, self.branches) == (other.node_count, other.branches)
+        return self.__getstate__() == other.__getstate__()
 
     def __hash__(self):
-        return hash((self.node_count, self.branches))
+        columns = self.kinds, self.ends, self.values + 0.0  # -0.0 parts to 0.0, as ==
+        return hash((self.node_count, *(column.tobytes() for column in columns)))
 
     def __repr__(self):
         return f"Network(node_count={self.node_count!r}, branches={self.branches!r})"
 
-    def __reduce__(self):
-        return Network, (self.node_count, self.branches)
+    def __getstate__(self):  # pickle and deepcopy rebuild through _fill
+        return self.node_count, self.kinds.tolist(), self.ends.ravel().tolist(), self.values.tolist()
+
+    def __setstate__(self, state):
+        self._fill(*state)
+
+
+def _column_element(code: int, value: complex) -> Element:
+    """The Element of a kind code and its column value (R, L, C: value.real)."""
+    kind = _KIND_OF_CODE[code]
+    return Element(kind, value if kind is ElementKind.IMPEDANCE else value.real)
 
 
 def check_pair(net: Network, p: int, q: int) -> tuple[int, int]:
@@ -221,6 +243,20 @@ def _as_int(value) -> int | None:
         return None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         return None
+
+
+def _as_number(value, convert=float) -> float | complex | None:
+    """value as a float if it is a real number of any type but bool (as a
+    complex, for convert=complex, if any number); None otherwise, as for a str."""
+    if type(value) is convert:  # as parse_netlist gives it, without an ABC check
+        return value
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Real if convert is float else numbers.Complex):
+        return None
+    try:
+        return convert(value)
+    except OverflowError:  # an int beyond the float range
+        return convert(math.inf)
 
 
 def _components(n: int, ends: list[int]) -> list[list[int]]:
@@ -280,10 +316,7 @@ def parse_netlist(text: str) -> Network:
         values.append(value)
     if node_count is None:
         raise NetlistSyntaxError(None, "empty netlist: missing 'NET' header")
-    if node_count > len(kinds) + 1:  # before the O(node_count) connectivity check
-        raise ValidationError(f"{node_count} nodes need at least {node_count - 1} "
-                              f"branches to be connected, got {len(kinds)}")
-    return Network.__new__(Network)._fill(node_count, kinds, ends, values, None)
+    return Network.__new__(Network)._fill(node_count, kinds, ends, values)
 
 
 # Per kind letter: its kind, code and value tokens (R, L and C take their
@@ -328,10 +361,10 @@ def serialize_netlist(net: Network) -> str:
     round-trip of IEEE doubles through parse_netlist.
     """
     lines = [f"NET {net.node_count}"]
-    for br in net.branches:
-        kind, v = br.element.kind.value, br.element.value
-        values = (v.real, v.imag)[:_LETTERS[kind][2]]  # R, L, C: v.real is v
-        lines.append(f"{kind} {br.node_a} {br.node_b} " + " ".join(map(_fmt, values)))
+    for k, (a, b), v in zip(net.kinds.tolist(), net.ends.tolist(), net.values.tolist()):
+        kind = _KIND_OF_CODE[k].value
+        values = (v.real, v.imag)[:_LETTERS[kind][2]]  # R, L, C: v.real only
+        lines.append(f"{kind} {a + 1} {b + 1} " + " ".join(map(_fmt, values)))
     return "\n".join(lines) + "\n"
 
 
@@ -341,22 +374,30 @@ def _fmt(x: float) -> str:
 
 # ── generators ───────────────────────────────────────────────────────────
 
-def check_ring_size(n: int) -> None:
-    """Raise ValidationError unless a ring of n nodes has at least 3."""
-    if n < 3:
+def check_ring_size(n: int) -> int:
+    """n as an int; ValidationError unless it is an integer of at least 3."""
+    size = _as_int(n)
+    if size is None:
+        raise ValidationError(f"ring size must be an integer, got {n!r}")
+    if size < 3:
         raise ValidationError(f"ring needs at least 3 nodes, got {n}")
+    return size
 
 
 def check_grid(
     m: int, n: int, inductance: float, capacitance: float, boundary: Boundary
-) -> tuple[Element, Element]:
-    """The inductor and capacitor of a valid m-by-n grid; ValidationError
-    unless m, n >= 2, boundary is a Boundary and Element takes both values."""
-    if m < 2 or n < 2:
+) -> tuple[int, int, Element, Element]:
+    """m and n as ints and the inductor and capacitor of a valid m-by-n grid;
+    ValidationError unless m and n are integers >= 2, boundary is a Boundary
+    and Element takes both values."""
+    dims = _as_int(m), _as_int(n)
+    if None in dims:
+        raise ValidationError(f"grid dimensions must be integers, got ({m!r}, {n!r})")
+    if min(dims) < 2:
         raise ValidationError(f"grid dimensions must be >= 2, got ({m}, {n})")
     if not isinstance(boundary, Boundary):
         raise ValidationError(f"bad boundary {boundary!r}")
-    return Element.inductor(inductance), Element.capacitor(capacitance)
+    return *dims, Element.inductor(inductance), Element.capacitor(capacitance)
 
 
 def ring_network(n: int, elements) -> Network:
@@ -369,16 +410,17 @@ def ring_network(n: int, elements) -> Network:
     elements : sequence of Element
         Exactly n elements, one per ring edge, in edge order.
     """
-    check_ring_size(n)
+    n = check_ring_size(n)
     elements = list(elements)
     if len(elements) != n:
         raise ValidationError(
             f"ring of {n} nodes needs exactly {n} elements, got {len(elements)}"
         )
-    branches = [
-        Branch(k, k % n + 1, elements[k - 1]) for k in range(1, n + 1)
-    ]
-    return Network(n, tuple(branches))
+    for e in elements:
+        _check_element(e)
+    return Network.__new__(Network)._fill(
+        n, [KIND_CODES[e.kind] for e in elements],
+        [end for k in range(n) for end in (k, (k + 1) % n)], [e.value for e in elements])
 
 
 def grid_network(
@@ -405,22 +447,13 @@ def grid_network(
     boundary : Boundary
         FREE (default) or TOROIDAL.
     """
-    ind, cap = check_grid(m, n, inductance, capacitance, boundary)
-
-    def node(x: int, y: int) -> int:
-        return x * n + y + 1
-
-    branches: list[Branch] = []
-    for x in range(m - 1):
-        for y in range(n):
-            branches.append(Branch(node(x, y), node(x + 1, y), cap))
-    if boundary is Boundary.TOROIDAL:
-        for y in range(n):
-            branches.append(Branch(node(m - 1, y), node(0, y), cap))
-    for x in range(m):
-        for y in range(n - 1):
-            branches.append(Branch(node(x, y), node(x, y + 1), ind))
-    if boundary is Boundary.TOROIDAL:
-        for x in range(m):
-            branches.append(Branch(node(x, n - 1), node(x, 0), ind))
-    return Network(m * n, tuple(branches))
+    m, n, ind, cap = check_grid(m, n, inductance, capacitance, boundary)
+    wrap = boundary is Boundary.TOROIDAL
+    # 0-based node (x, y) is x*n + y here; each kind's wrap branches come last
+    caps = [(x * n + y, (x + 1) % m * n + y) for x in range(m - 1 + wrap) for y in range(n)]
+    inds = [(x * n + y, x * n + y + 1) for x in range(m) for y in range(n - 1)]
+    inds += [(x * n + n - 1, x * n) for x in range(m)] if wrap else []
+    return Network.__new__(Network)._fill(
+        m * n, [KIND_CODES[cap.kind]] * len(caps) + [KIND_CODES[ind.kind]] * len(inds),
+        [end for pair in caps + inds for end in pair],
+        [cap.value] * len(caps) + [ind.value] * len(inds))

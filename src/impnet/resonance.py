@@ -94,7 +94,7 @@ def grid_resonances_analytic(
     merged within MERGE_REL_TOL; raw_count keeps the unmerged tally.  The
     arguments are checked as grid_network checks them.
     """
-    ind, cap = check_grid(m, n, inductance, capacitance, boundary)
+    m, n, ind, cap = check_grid(m, n, inductance, capacitance, boundary)
     base = 1.0 / (math.sqrt(ind.value) * math.sqrt(cap.value))
     if not math.isfinite(base):
         raise ValidationError(f"base frequency 1/sqrt(L C) = {base!r} is not finite")

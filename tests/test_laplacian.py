@@ -22,6 +22,7 @@ from impnet import (
     impedance_matrix,
     laplacian_parts,
     ring_network,
+    ring_reactance_resonance_check,
     solve_direct,
     two_point_impedance,
 )
@@ -142,9 +143,30 @@ def test_admittance_errors_name_the_element():
 
 def test_check_angular_frequency():
     assert check_angular_frequency(2) == 2.0
-    for bad in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValidationError):
+    for good in (np.float64(0.5), np.float32(0.5), np.int64(2)):
+        w = check_angular_frequency(good)
+        assert w == good and type(w) is float
+    for bad in (0.0, -1.0, math.inf, math.nan, 10**400, -(10**400)):
+        with pytest.raises(ValidationError, match="positive and finite"):
             check_angular_frequency(bad)
+
+
+@pytest.mark.parametrize("omega", [1j, 1 + 0j, None, True, "0.7", np.True_])
+def test_angular_frequency_is_a_real_number(omega):
+    net = grid_network(3, 3, 1.0, 1.0)
+    ring = [Element.inductor(1.0)] * 2 + [Element.capacitor(1.0)]
+    queries = [
+        lambda: check_angular_frequency(omega),
+        lambda: two_point_impedance(net, omega, 1, 9),
+        lambda: impedance_matrix(net, omega),
+        lambda: solve_direct(net, omega, 1, 9),
+        lambda: find_resonances(net, omega, 2.0),
+        lambda: find_resonances(net, 0.5, omega),
+        lambda: ring_reactance_resonance_check(ring, omega),
+    ]
+    for query in queries:
+        with pytest.raises(ValidationError, match="angular frequency must be a real number"):
+            query()
 
 
 def test_omega_validated_once_per_admittance_pass(monkeypatch):

@@ -17,11 +17,14 @@ from impnet import (
     NetlistSyntaxError,
     Network,
     ValidationError,
+    branch_admittances,
     grid_network,
+    grid_resonances_analytic,
     parse_netlist,
     ring_network,
     serialize_netlist,
 )
+from impnet.cli import main
 from conftest import TRIANGLE_NETLIST, random_connected_network
 
 # ── elements ─────────────────────────────────────────────────────────────
@@ -53,6 +56,26 @@ def test_element_rejects_a_kind_that_is_not_an_element_kind():
             Element(kind, 1.0)
 
 
+@pytest.mark.parametrize("value", [True, False, "1.5", "1+2j", None, np.True_])
+def test_element_values_are_numbers_not_bools_or_strings(value):
+    for ctor in (Element.resistor, Element.inductor, Element.capacitor, Element.impedance):
+        with pytest.raises(ValidationError, match="number, got"):
+            ctor(value)
+
+
+def test_element_values_of_numpy_and_int_types():
+    for value in (np.float64(1.5), np.float32(1.5), np.int64(2), 2):
+        r = Element.resistor(value)
+        assert r.value == value and type(r.value) is float
+    for value in (np.complex128(1 + 2j), np.float64(1.5), np.int8(3)):
+        z = Element.impedance(value)
+        assert z.value == value and type(z.value) is complex
+    with pytest.raises(ValidationError, match="must be a real number"):
+        Element.capacitor(np.complex128(1.0))
+    with pytest.raises(ValidationError, match="must be positive and finite"):
+        Element.inductor(10**400)
+
+
 def test_impedance_rejects_zero_and_nonfinite():
     with pytest.raises(ValidationError):
         Element.impedance(0.0)
@@ -72,6 +95,16 @@ def test_branch_rejects_self_loop_and_bad_labels():
         Branch(True, 2, r)
     with pytest.raises(ValidationError):
         Branch(2, True, r)
+    for element in ("R", 1.0, None):
+        with pytest.raises(ValidationError, match="is not an Element"):
+            Branch(1, 2, element)
+
+
+def test_network_rejects_items_that_are_not_branches():
+    r = Element.resistor(1.0)
+    for item in ((1, 2, r), None, r):
+        with pytest.raises(ValidationError, match="is not a Branch"):
+            Network(2, [item])
 
 
 def test_numpy_integer_labels_and_node_count_accepted():
@@ -97,9 +130,11 @@ def test_network_rejects_empty():
 
 
 def test_network_rejects_disconnected():
+    # three branches, enough for a tree of four nodes
     branches = (
         Branch(1, 2, Element.resistor(1.0)),
         Branch(3, 4, Element.resistor(1.0)),
+        Branch(3, 4, Element.resistor(2.0)),
     )
     with pytest.raises(DisconnectedError) as exc:
         Network(4, branches)
@@ -107,17 +142,38 @@ def test_network_rejects_disconnected():
 
 
 def test_isolated_node_is_disconnected():
-    with pytest.raises(DisconnectedError):
-        Network(3, (Branch(1, 2, Element.resistor(1.0)),))
+    with pytest.raises(DisconnectedError) as exc:
+        Network(3, (Branch(1, 2, Element.resistor(1.0)),) * 2)
+    assert exc.value.components == ((1, 2), (3,))
 
 
 def test_parse_rejects_fewer_branches_than_a_tree():
     with pytest.raises(ValidationError, match="at least 99999 branches") as exc:
         parse_netlist("NET 100000\nR 1 2 1\n")
     assert len(str(exc.value)) < 200
+    # the constructor's guard too, before an O(node_count) connectivity check
+    with pytest.raises(ValidationError) as exc:
+        Network(10**6, (Branch(1, 2, Element.resistor(1.0)),))
+    assert type(exc.value) is ValidationError
+    assert str(exc.value) == "1000000 nodes need at least 999999 branches to be connected, got 1"
     # enough branches for a tree: connectivity is Network's to check
     with pytest.raises(DisconnectedError):
         parse_netlist("NET 4\nR 1 2 1\nR 1 2 1\nR 3 4 1\n")
+
+
+def test_disconnected_message_is_bounded(tmp_path, capsys):
+    error = DisconnectedError([[5], range(1, 10), [10], [11], [12]])
+    assert str(error) == ("network is not connected: components {5} / "
+                          "{1, 2, 3, 4, 5, 6, 7, 8, ... (9 nodes)} / {10} / ... (5 components)")
+    path = tmp_path / "isolated.net"
+    path.write_text("NET 100001\n" + "R 1 2 1\n" * 100000)
+    with pytest.raises(DisconnectedError) as exc:
+        parse_netlist(path.read_text())
+    assert len(str(exc.value)) < 100
+    assert exc.value.components == ((1, 2), *((k,) for k in range(3, 100002)))
+    assert main(["impedance", str(path), "--pair", "1", "2", "--omega", "1"]) == 1
+    err = capsys.readouterr().err
+    assert len(err) < 200 and "... (100000 components)" in err
 
 
 def test_parallel_branches_allowed():
@@ -329,7 +385,11 @@ def test_serialize_round_trip_exact():
                              Element.impedance(complex(-0.0, 1.0))]),
     lambda: grid_network(3, 4, 1.0, 2.0, Boundary.TOROIDAL),
     lambda: random_connected_network(np.random.default_rng(3), 12, 12),
-], ids=["ring", "grid", "rlcz"])
+    lambda: Network(3, (Branch(1, 2, Element.impedance(complex(-0.0, -1.0))),
+                        Branch(2, 3, Element.capacitor(2.0)),
+                        Branch(3, 1, Element.impedance(complex(1.0, -0.0))))),
+    lambda: parse_netlist("NET 3\nZ 1 2 -0 -1\nL 2 3 1e-3\nZ 3 1 1 -0.0\nR 1 2 5\n"),
+], ids=["ring", "grid", "rlcz", "constructor", "parser"])
 def test_network_api(build):
     net = build()
     back = parse_netlist(serialize_netlist(net))
@@ -358,6 +418,48 @@ def test_network_api(build):
         br.element.kind for br in net.branches]
 
 
+def test_signed_zero_parts_are_equal_and_hash_alike():
+    def network(z):
+        return Network(2, (Branch(1, 2, Element.impedance(z)),
+                           Branch(1, 2, Element.resistor(1.0))))
+
+    for z in (complex(-0.0, 1.0), complex(1.0, -0.0), complex(-0.0, -2.0)):
+        twin = complex(z.real + 0.0, z.imag + 0.0)
+        assert network(z) == network(twin) and hash(network(z)) == hash(network(twin))
+    assert network(1j) != network(2j)
+    assert network(1.0) != Network(2, (Branch(1, 2, Element.resistor(1.0)),) * 2)
+
+
+def test_no_branch_objects_built_outside_the_branches_property(monkeypatch):
+    net = grid_network(4, 5, 1.0, 2.0, Boundary.TOROIDAL)
+    text = serialize_netlist(net)
+    tiny = Network(2, (Branch(1, 2, Element.resistor(1e-320)),))
+    built = []
+    post_init = Branch.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Branch, "__post_init__", counting)
+    ops = {
+        "parse_netlist": lambda: parse_netlist(text),
+        "hash": lambda: hash(net),
+        "==": lambda: net == parse_netlist(text),
+        "pickle": lambda: pickle.loads(pickle.dumps(net)),
+        "deepcopy": lambda: copy.deepcopy(net),
+        "serialize_netlist": lambda: serialize_netlist(net),
+        "grid_network": lambda: grid_network(4, 5, 1.0, 2.0, Boundary.TOROIDAL),
+        "ring_network": lambda: ring_network(5, [Element.resistor(1.0)] * 5),
+        "rejected admittance": lambda: pytest.raises(
+            ValidationError, branch_admittances, tiny, 1.0),
+    }
+    for name, op in ops.items():
+        op()
+        assert built == [], name
+    assert len(net.branches) == len(built) == 40  # the counter sees Branch()
+
+
 def test_serialize_triangle_matches_reference(triangle):
     assert serialize_netlist(triangle) == TRIANGLE_NETLIST
 
@@ -376,6 +478,27 @@ def test_ring_network_validation():
         ring_network(2, [Element.resistor(1.0)] * 2)
     with pytest.raises(ValidationError):
         ring_network(4, [Element.resistor(1.0)] * 3)
+    with pytest.raises(ValidationError, match="is not an Element"):
+        ring_network(3, [Element.resistor(1.0), "R", Element.resistor(1.0)])
+
+
+@pytest.mark.parametrize("size", [3.0, 2.5, "3", True, None])
+def test_sizes_must_be_integers(size):
+    with pytest.raises(ValidationError, match="ring size must be an integer"):
+        ring_network(size, [Element.resistor(1.0)] * 3)
+    for build in (grid_network, grid_resonances_analytic):
+        for m, n in ((size, 3), (3, size)):
+            with pytest.raises(ValidationError, match="grid dimensions must be integers"):
+                build(m, n, 1.0, 1.0)
+
+
+def test_numpy_integer_sizes_accepted():
+    ring = ring_network(np.int64(3), [Element.resistor(1.0)] * 3)
+    assert ring == ring_network(3, [Element.resistor(1.0)] * 3)
+    grid = grid_network(np.int32(3), np.int64(4), 1.0, 1.0)
+    assert grid == grid_network(3, 4, 1.0, 1.0) and type(grid.node_count) is int
+    assert (grid_resonances_analytic(np.int64(3), 4, 1.0, 1.0)
+            == grid_resonances_analytic(3, 4, 1.0, 1.0))
 
 
 def test_grid_network_free_counts():
