@@ -91,19 +91,21 @@ def _stamp(net: Network, ys: np.ndarray) -> np.ndarray:
 
     Parallel branches merge by summing their admittances in branch order,
     and each diagonal entry is the negated sum of its merged off-diagonal
-    row, which keeps row sums at zero to machine precision.  Raises
-    ValidationError when an entry is not finite; a non-finite entry makes
-    the diagonal of its row non-finite, so the diagonal is what is tested.
+    row, which keeps row sums at zero to machine precision.  The merged
+    admittances are summed, negated and given their diagonal in the one
+    n x n array returned.  Raises ValidationError when an entry is not
+    finite; a non-finite entry makes the diagonal of its row non-finite, so
+    the diagonal is what is tested.
     """
     n = net.node_count
-    adm = np.zeros((n, n), dtype=ys.dtype)
+    lap = np.zeros((n, n), dtype=ys.dtype)
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
         # (a, b) then (b, a) per branch: the accumulation order of a loop
-        np.add.at(adm, (net.ends.ravel(), net.ends[:, ::-1].ravel()), np.repeat(ys, 2))
-        diag = adm.sum(axis=1)
+        np.add.at(lap, (net.ends.ravel(), net.ends[:, ::-1].ravel()), np.repeat(ys, 2))
+        diag = lap.sum(axis=1)
     if not np.isfinite(diag).all():
         raise ValidationError("a merged admittance of the network is not finite")
-    lap = -adm
+    np.negative(lap, out=lap)
     np.fill_diagonal(lap, diag)
     return lap
 

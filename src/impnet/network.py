@@ -285,6 +285,11 @@ def _components(n: int, ends: list[int]) -> list[list[int]]:
 def parse_netlist(text: str) -> Network:
     """Parse netlist text into a Network.
 
+    A well-formed element line (known letter, token count, int labels in
+    1..n and distinct, a positive finite value, or a finite nonzero Z) is
+    read inline in one pass; any other line goes through the checks of
+    make_element and the label checks, which raise every error.
+
     Raises NetlistSyntaxError (with the offending line number) for malformed
     text, ValidationError for semantically bad entries, DisconnectedError if
     the graph does not connect all declared nodes.
@@ -295,6 +300,24 @@ def parse_netlist(text: str) -> Network:
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
+        entry = _LETTERS.get(tokens[0]) if node_count is not None else None
+        if entry is not None and len(tokens) == 3 + entry[2]:
+            _, code, count = entry
+            try:
+                a, b, value = int(tokens[1]), int(tokens[2]), float(tokens[3])
+                size = value
+                if count == 2:
+                    value = complex(value, float(tokens[4]))
+                    size = abs(value.real) + abs(value.imag)  # may overflow: then checked below
+            except ValueError:
+                pass
+            else:
+                if (0 < a <= node_count and 0 < b <= node_count and a != b
+                        and 0.0 < size < math.inf):
+                    kinds.append(code)
+                    ends += a - 1, b - 1
+                    values.append(value)
+                    continue
         try:
             if node_count is None:
                 if tokens[0] != "NET" or len(tokens) != 2:

@@ -36,8 +36,8 @@ from .laplacian import (
     laplacian_parts,
 )
 from .network import (
-    Boundary, ElementKind, Network, _components, check_grid, check_ring_size,
-    ring_network,
+    Boundary, ElementKind, Network, _check_element, _components, check_grid,
+    check_ring_size, ring_network,
 )
 
 # Two detected frequencies within this relative distance are one resonance.
@@ -127,6 +127,7 @@ def _reactances(elements, omega: float) -> tuple[list[float], float, float]:
     w = check_angular_frequency(omega)
     xs = []
     for e in elements:
+        _check_element(e)
         if e.kind is ElementKind.INDUCTOR:
             xs.append(w * e.value)
         elif e.kind is ElementKind.CAPACITOR:

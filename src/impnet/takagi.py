@@ -36,7 +36,8 @@ T z = w z, and dormqr applies Q^T.  No mode v = Q z is back-transformed:
 takagi_rows, the one factorization route, applies Q^T to the vectors that
 select m rows and their sums, m + 1 of them for M and 2m + 2 for H, and
 projects those onto the z, zero frame included.  A pair query reads two
-rows in O(n^2); the all-pairs table reads all n in O(n^3).
+rows in O(n^2); the all-pairs table reads all n in O(n^3).  The residual
+of T z = w z is computed only when a result's residual is read.
 takagi_decompose reads all n rows the same way, orthonormalizes a zero
 frame to return a unitary u, and canonicalizes the gauge by rotating the
 largest component of every u_a onto the positive real axis.
@@ -45,7 +46,7 @@ largest component of every u_a onto the positive real axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -121,14 +122,21 @@ class TakagiRows:
     residual : float
         max_j of the 2-norm of T z_j - w_j z_j over the tridiagonal
         eigenvectors of the columns, equal to the residual of M v_j or
-        H v_j up to the rounding of the orthogonal Q.
+        H v_j up to the rounding of the orthogonal Q.  Computed when read,
+        from the tridiagonal eigensolve the result keeps, so a query that
+        does not read it does not pay for it.
     """
 
     order: int
     rows: np.ndarray
     col_sums: np.ndarray
     lam: np.ndarray
-    residual: float
+    # the eigensolve with w and z cut to the columns, read by residual
+    tridiagonal: _Tridiagonal = field(compare=False, repr=False)
+
+    @property
+    def residual(self) -> float:
+        return _tridiagonal_residual(self.tridiagonal)
 
 
 @dataclass(frozen=True)
@@ -269,7 +277,7 @@ def takagi_rows(l: np.ndarray, nodes) -> TakagiRows:
         rows=modes[:m],
         col_sums=modes[m],
         lam=lam,
-        residual=_tridiagonal_residual(t, first),
+        tridiagonal=t._replace(w=t.w[first:], z=t.z[:, first:]),
     )
 
 
@@ -332,15 +340,15 @@ def _check_info(routine: str, info: int) -> None:
         raise ConvergenceError(f"LAPACK {routine} failed (info={info})")
 
 
-def _tridiagonal_residual(t: _Tridiagonal, first: int) -> float:
-    """max_j ||T z_j - w_j z_j|| over the columns j >= first, computed in
-    units of max(|d|, |e|) so that no square overflows or underflows."""
+def _tridiagonal_residual(t: _Tridiagonal) -> float:
+    """max_j ||T z_j - w_j z_j|| over the columns of t.z, computed in units
+    of max(|d|, |e|) so that no square overflows or underflows."""
     s = float(max(np.abs(t.d).max(), np.abs(t.e).max()))
     if not s:
         return 0.0
     d, e = t.d / s, (t.e / s)[:, np.newaxis]
-    z = t.z[:, first:]
-    r = (d[:, np.newaxis] - t.w[first:] / s) * z
+    z = t.z
+    r = (d[:, np.newaxis] - t.w / s) * z
     r[1:] += e * z[:-1]
     r[:-1] += e * z[1:]
     return s * float(np.linalg.norm(r, axis=0).max())

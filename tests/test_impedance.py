@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,13 +272,16 @@ def test_matrix_on_random_network():
 
 def _count_factorization_calls(monkeypatch):
     """Record takagi_decompose calls, the column count of every _apply_q
-    call, every takagi_rows result and every SVD."""
+    call, every takagi_rows result, every SVD, every tridiagonal eigensolve
+    and every residual computed from one."""
     # no query path may reach the full factorization by its own binding
     assert not hasattr(impedance, "takagi_decompose")
-    calls = {"decompose": [], "columns": [], "rows": [], "svd": []}
+    calls = {"decompose": [], "columns": [], "rows": [], "svd": [],
+             "eig": [], "residual": []}
     decompose, apply_q, rows = (
         takagi.takagi_decompose, takagi._apply_q, takagi.takagi_rows
     )
+    eig, residual = takagi._tridiagonal_eig, takagi._tridiagonal_residual
     svd = np.linalg.svd
 
     def counting_decompose(*args):
@@ -296,7 +300,17 @@ def _count_factorization_calls(monkeypatch):
         calls["svd"].append(args)
         return svd(*args, **kwargs)
 
+    def recording_eig(*args):
+        calls["eig"].append(eig(*args))
+        return calls["eig"][-1]
+
+    def counting_residual(*args):
+        calls["residual"].append(args)
+        return residual(*args)
+
     monkeypatch.setattr(takagi, "takagi_decompose", counting_decompose)
+    monkeypatch.setattr(takagi, "_tridiagonal_eig", recording_eig)
+    monkeypatch.setattr(takagi, "_tridiagonal_residual", counting_residual)
     monkeypatch.setattr(impedance, "takagi_rows", recording_rows)
     monkeypatch.setattr(takagi, "_apply_q", counting_apply_q)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
@@ -314,7 +328,7 @@ def test_pair_query_back_transforms_two_rows(monkeypatch, case):
     # ones vector) and n modes.  A network with both resistive and reactive
     # parts takes the 2n x 2n embedding: six columns, and n + k modes that
     # read the zero space through the tight frame of its 2k pair vectors.
-    # A count, not a timing.
+    # No residual is computed until it is read.  A count, not a timing.
     if case == "rlcz120":
         net = random_connected_network(np.random.default_rng(120), 120, 120)
         omega = 1.3
@@ -330,6 +344,7 @@ def test_pair_query_back_transforms_two_rows(monkeypatch, case):
     r = two_point_impedance(net, omega, 1, net.node_count)
     assert calls["decompose"] == []
     assert calls["svd"] == []
+    assert calls["residual"] == []
     (dec,) = calls["rows"]
     zeros = np.count_nonzero(dec.lam == 0.0)
     if case == "rlcz120":
@@ -341,6 +356,12 @@ def test_pair_query_back_transforms_two_rows(monkeypatch, case):
         assert zeros == r.resonant_mode_count + 1
     if case.endswith("resonant"):
         assert r.status is ImpedanceStatus.RESONANT and r.resonant_mode_count > 2
+    # read now, the residual is that of T z = w z over the columns read:
+    # all n for M, the last n + k for H
+    (t,) = calls["eig"]
+    first = t.w.size - dec.lam.size
+    want = takagi._tridiagonal_residual(t._replace(w=t.w[first:], z=t.z[:, first:]))
+    assert dec.residual == want
     lap = assemble_laplacian(net, omega)
     assert dec.residual <= 1e-14 * np.linalg.norm(lap, 2)
 
@@ -358,11 +379,49 @@ def test_table_reads_rows_in_one_back_transform(monkeypatch, omega):
     assert calls["decompose"] == []
     assert calls["columns"] == [n + 1]
     assert calls["svd"] == []
+    assert calls["residual"] == []
     (dec,) = calls["rows"]
     assert dec.rows.shape == (n, n)
     assert table.value.shape == (n, n)
     want = ImpedanceStatus.RESONANT if omega == 1.0 else ImpedanceStatus.FINITE
     assert table.status is want
+
+
+@pytest.mark.parametrize("case", ["rlcz120", "grid15x15"])
+def test_pair_query_memory_peak(case):
+    # A count, not a timing: the tracemalloc peak of one pair query, after
+    # a warm-up call, in doubles.  An RLCZ network takes the order-N = 2n
+    # embedding H, the free grid the order-N = n real M.  The arrays of
+    # order N^2 alive at the peak are at most the complex n x n Laplacian
+    # (2 n^2), M or H (N^2), dstevd's z (N^2) and workspace (1 + 4N + N^2)
+    # and the reflector copy ((N - 1)^2).  The workspace is freed before the
+    # copy is made, so the sum leaves one N^2 of room for the O(N) vectors
+    # (d, e, w, tau, the selector columns, dstevd's iwork) and for the
+    # O(n) rows read.  A further N^2 array at the peak (a second M, H or
+    # z) exceeds it, as did the residual's N x (n + k) temporaries when
+    # every query computed them.
+    if case == "rlcz120":
+        net = random_connected_network(np.random.default_rng(120), 120, 120)
+        omega = 1.3
+    else:
+        net = grid_network(15, 15, 1.0, 1.0)
+        omega = 0.7
+    n = net.node_count
+    order = 2 * n if case == "rlcz120" else n
+    bound = 2 * n * n + 2 * order**2 + (1 + 4 * order + order**2) + (order - 1) ** 2
+    two_point_impedance(net, omega, 1, n)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        two_point_impedance(net, omega, 1, n)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 8 * bound, f"peak {peak / 8 / order**2:.2f} N^2 doubles"
 
 
 @pytest.mark.parametrize("p, q", [(10, 11), (1, 2)])

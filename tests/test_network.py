@@ -25,6 +25,7 @@ from impnet import (
     serialize_netlist,
 )
 from impnet.cli import main
+from impnet.network import make_element
 from conftest import TRIANGLE_NETLIST, random_connected_network
 
 # ── elements ─────────────────────────────────────────────────────────────
@@ -337,6 +338,69 @@ def test_parse_error_table(text, error, message):
         parse_netlist(text)
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+# One element line of a 2-node netlist, at line 2, that parse_netlist must
+# accept, or reject with the error its full checks give: labels as int()
+# reads them ('+1', Arabic-Indic digits), values as float() does ('1_0',
+# overflow to inf), and every fault of labels, values and token counts.
+_V = "line 2: resistor value must be positive and finite, got "
+_ONE_LINE = [
+    ("R 1 2 5", None),
+    ("L 2 1 0.5", None),
+    ("C 1 2 1e-12", None),
+    ("R 1 2 5e-324", None),
+    ("Z 1 2 3 -4", None),
+    ("Z 2 1 0 1", None),
+    ("Z 1 2 -0 2", None),
+    ("Z 1 2 1.7e308 1.7e308", None),
+    ("R 1 2 1_0", None),
+    ("R 1 2 \u0661", None),
+    ("R +1 2 1", None),
+    ("R \u0661 2 1", None),
+    ("R 1 2 0", (ValidationError, _V + "0.0")),
+    ("R 1 2 -0", (ValidationError, _V + "-0.0")),
+    ("R 1 2 inf", (ValidationError, _V + "inf")),
+    ("R 1 2 1e400", (ValidationError, _V + "inf")),
+    ("R 1 2 nan", (ValidationError, _V + "nan")),
+    ("L 1 2 -1", (ValidationError,
+                  "line 2: inductor value must be positive and finite, got -1.0")),
+    ("R 1 2 x", (NetlistSyntaxError, "line 2: bad numeric value 'x'")),
+    ("R 0 2 1", (ValidationError, "line 2: node labels must be >= 1, got (0, 2)")),
+    ("R 1 3 1", (ValidationError, "line 2: branch (1, 3) references a node outside 1..2")),
+    ("L 3 0 1", (ValidationError, "line 2: branch (3, 0) references a node outside 1..2")),
+    ("R 1 1 1", (ValidationError, "line 2: self-loop at node 1 is not allowed")),
+    ("R 1.5 2 1", (NetlistSyntaxError, "line 2: bad node label '1.5'")),
+    ("R 1 3 nan", (ValidationError, _V + "nan")),
+    ("R 1 2", (NetlistSyntaxError, "line 2: R takes 1 value(s), got []")),
+    ("R 1", (NetlistSyntaxError, "line 2: R takes 1 value(s), got []")),
+    ("R 1 2 3 4", (NetlistSyntaxError, "line 2: R takes 1 value(s), got ['3', '4']")),
+    ("Z 1 2 1", (NetlistSyntaxError, "line 2: Z takes 2 value(s), got ['1']")),
+    ("Z 1 2 1 2 3", (NetlistSyntaxError,
+                     "line 2: Z takes 2 value(s), got ['1', '2', '3']")),
+    ("r 1 2 3", (NetlistSyntaxError, "line 2: element kind 'r' is not R, L, C or Z")),
+    ("Z 1 2 0 0", (ValidationError, "line 2: fixed impedance must be nonzero")),
+    ("Z 1 2 -0 0", (ValidationError, "line 2: fixed impedance must be nonzero")),
+    ("Z 1 2 inf 1", (ValidationError, "line 2: fixed impedance must be finite")),
+    ("Z 1 2 1 -inf", (ValidationError, "line 2: fixed impedance must be finite")),
+    ("Z 1 2 nan 0", (ValidationError, "line 2: fixed impedance must be finite")),
+    ("Z 1 2 0 nan", (ValidationError, "line 2: fixed impedance must be finite")),
+]
+
+
+@pytest.mark.parametrize("line, error", _ONE_LINE)
+def test_parse_line_gives_its_branch_or_error(line, error):
+    text = f"NET 2\n{line}\n"
+    if error is not None:
+        with pytest.raises(ImpnetError) as exc:
+            parse_netlist(text)
+        assert (type(exc.value), str(exc.value)) == error
+        return
+    kind, a, b, *values = line.split()
+    want = Network(2, [Branch(int(a), int(b), make_element(kind, values))])
+    net = parse_netlist(text)
+    for column in ("kinds", "ends", "values"):  # bytes: -0.0 is not 0.0
+        assert getattr(net, column).tobytes() == getattr(want, column).tobytes()
 
 
 # Characters that str.splitlines() breaks at but a netlist does not: inside

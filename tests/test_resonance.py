@@ -490,8 +490,14 @@ def test_ring_sum_rule_detects_resonance():
 
 
 def test_ring_sum_rule_rejects_non_reactance():
-    with pytest.raises(ValidationError):
-        ring_reactance_resonance_check([Element.resistor(1.0)] * 3, 1.0)
+    cases = [
+        ([Element.resistor(1.0)] * 3, "inductors and capacitors only"),
+        ([Element.inductor(1.0), "C", Element.capacitor(1.0)], "'C' is not an Element"),
+    ]
+    for elements, match in cases:
+        for check in (ring_reactance_resonance_check, eigenvalue_product_identity_check):
+            with pytest.raises(ValidationError, match=match):
+                check(elements, 1.0)
 
 
 @pytest.mark.parametrize("size", [0, 1, 2])
