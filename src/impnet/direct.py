@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import ValidationError
 from .laplacian import (
     SINGULAR_REL_TOL, assemble_laplacian, check_angular_frequency, node_system,
+    to_float_range,
 )
 from .network import Network, check_pair
 
@@ -49,28 +49,20 @@ def solve_node_potentials(
     Node q is grounded (V_q = 0).  Returns the full n-vector of potentials,
     or SingularSystem when an LU pivot of the grounded system is at or below
     SINGULAR_REL_TOL (1e-13) of the network admittance scale.  The block is
-    factored in units of 2^e siemens, 2^(e-1) <= scale < 2^e, where subnormal
-    admittances keep their digits; ValidationError past the float range.
+    factored in node_system's unit; ValidationError past the float range.
     """
     w = check_angular_frequency(omega)
     p, q = check_pair(net, p, q)
     kept = np.arange(net.node_count) != q - 1
-    lap, scale = node_system(net, w)
-    e = math.frexp(scale)[1]
-    block = lap[np.ix_(kept, kept)]
-    np.ldexp(block.view(float), -e, out=block.view(float))
-    lu, piv, _ = lapack.zgetrf(block)
+    lap, scale, e = node_system(net, w)
+    lu, piv, _ = lapack.zgetrf(lap[np.ix_(kept, kept)])
     pivot_min = float(np.abs(np.diag(lu)).min())
     if pivot_min <= SINGULAR_REL_TOL * math.ldexp(scale, -e):
         return SingularSystem(q, math.ldexp(pivot_min, e), scale)
     v = np.zeros(net.node_count, dtype=complex)
     v[p - 1] = 1.0
     v[kept] = lapack.zgetrs(lu, piv, v[kept])[0]
-    with np.errstate(over="ignore"):  # rejected below
-        np.ldexp(v.view(float), -e, out=v.view(float))
-    if not np.isfinite(v).all():
-        raise ValidationError(f"node potential at omega {w!r} exceeds the float range")
-    return v
+    return to_float_range(v, e, f"node potential at omega {w!r}")
 
 
 def solve_direct(

@@ -26,8 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
-from .laplacian import check_angular_frequency, node_system
+from .laplacian import check_angular_frequency, node_system, to_float_range
 from .network import Network, check_pair
 from .takagi import TakagiRows, classify_zero_modes, takagi_rows
 
@@ -95,8 +94,8 @@ def two_point_impedance(
     """
     w = check_angular_frequency(omega)
     p, q = check_pair(net, p, q)
-    lap, scale = node_system(net, w)
-    spec = _spectrum(takagi_rows(lap, (p - 1, q - 1)), scale)
+    lap, scale, e = node_system(net, w)
+    spec = _spectrum(takagi_rows(lap, (p - 1, q - 1)), scale, e)
     value, coupling = _mode_sums(spec, 0, 1)
     return _result(spec, w, complex(value), float(coupling))
 
@@ -110,8 +109,8 @@ def impedance_matrix(net: Network, omega: float) -> ImpedanceResult:
     zero on the diagonal; divergent_coefficient is None when FINITE.
     """
     n = net.node_count
-    lap, scale = node_system(net, omega)
-    spec = _spectrum(takagi_rows(lap, range(n)), scale)
+    lap, scale, e = node_system(net, omega)
+    spec = _spectrum(takagi_rows(lap, range(n)), scale, e)
     value = np.zeros((n, n), dtype=complex)
     coupling = np.zeros((n, n))
     for p in range(n - 1):
@@ -126,16 +125,15 @@ class _Spectrum(NamedTuple):
 
     live: np.ndarray  # rows of the retained modes, one per node read
     inv_lam: np.ndarray  # their 1 / lambda in units of 2^-e ohm
-    e: int  # 2^(e-1) <= admittance scale < 2^e
+    e: int  # node_system's unit exponent
     zero: np.ndarray  # rows of the zero modes
     resonant: int  # dimension of the zero space past the trivial mode
-    min_abs: float  # smallest |lambda| outside the trivial mode
+    min_abs: float  # smallest |lambda| in siemens outside the trivial mode
     near_resonance: bool
 
 
-def _spectrum(dec: TakagiRows, scale: float) -> _Spectrum:
-    cls = classify_zero_modes(dec, scale)
-    e = math.frexp(scale)[1]
+def _spectrum(dec: TakagiRows, scale: float, e: int) -> _Spectrum:
+    cls = classify_zero_modes(dec, math.ldexp(scale, -e))
     retained = np.ones(dec.lam.size, dtype=bool)
     retained[list(cls.zero_indices)] = False
     mags = np.abs(dec.lam)
@@ -144,28 +142,22 @@ def _spectrum(dec: TakagiRows, scale: float) -> _Spectrum:
     min_abs = float(others[0]) if others.size else 0.0
     return _Spectrum(
         dec.rows[:, retained],
-        1.0 / np.ldexp(dec.lam[retained], -e),
+        1.0 / dec.lam[retained],
         e,
         dec.rows[:, ~retained],
         cls.nontrivial_zero_count,
-        min_abs,
+        math.ldexp(min_abs, e),
         min_abs <= NEAR_RESONANCE_REL * float(mags.max()),
     )
 
 
 def _mode_sums(spec: _Spectrum, i: int, j) -> tuple[np.ndarray, np.ndarray]:
     """Between row i and the row or rows j of the rows read: the sums of
-    (u_i - u_j)^2 / lambda over the retained modes and of |u_i - u_j|^2
-    over the zero ones.  The first is summed in the units of inv_lam and
-    scaled back exactly; ValidationError when it exceeds the float range."""
+    (u_i - u_j)^2 / lambda over the retained modes, in ohm (to_float_range),
+    and of |u_i - u_j|^2 over the zero ones."""
     live = spec.live[i] - spec.live[j]
     zero = spec.zero[i] - spec.zero[j]
-    value = np.array(live ** 2 @ spec.inv_lam)
-    with np.errstate(over="ignore"):  # rejected below
-        for part in (value.real, value.imag):
-            np.ldexp(part, -spec.e, out=part)
-    if not np.isfinite(value).all():
-        raise ValidationError("the impedance exceeds the float range")
+    value = to_float_range(np.array(live ** 2 @ spec.inv_lam), spec.e, "the impedance")
     return value, np.sum(np.abs(zero) ** 2, axis=-1)
 
 

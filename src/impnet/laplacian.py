@@ -2,8 +2,8 @@
 
 branch_admittances gives 1/R, 1/(j omega L), j omega C and 1/z for every
 branch; assembly, admittance_scale and laplacian_parts read that array.
-node_system is what every query reads: the Laplacian and the scale, with
-the input errors of both.
+node_system is what every query reads: the Laplacian in units of 2^e
+siemens, the scale and e, with the input errors of both.
 The Laplacian carries the merged admittance sum of all branches joining a
 node pair on the off-diagonal (negated) and the sum of incident admittances
 on the diagonal, so every row sums to zero and the constant vector is an
@@ -161,8 +161,24 @@ def admittance_scale(net: Network, omega: float) -> float:
     return scale
 
 
-def node_system(net: Network, omega: float) -> tuple[np.ndarray, float]:
+def node_system(net: Network, omega: float) -> tuple[np.ndarray, float, int]:
     """assemble_laplacian and admittance_scale of net at omega, with the
-    input errors of both; each of the two evaluates the branch admittances
-    from net's columns."""
-    return assemble_laplacian(net, omega), admittance_scale(net, omega)
+    input errors of both, and the unit of every query: L scaled in place to
+    2^e S, 2^(e-1) <= scale < 2^e, exactly above the subnormal range, so a
+    network and its 2^k-rescaled twin hand LAPACK the same bits."""
+    lap, scale = assemble_laplacian(net, omega), admittance_scale(net, omega)
+    e = math.frexp(scale)[1]
+    # on the float view: a product with 2.0**-e overflows for subnormal scales
+    np.ldexp(lap.view(float), -e, out=lap.view(float))
+    return lap, scale, e
+
+
+def to_float_range(a: np.ndarray, e: int, what: str) -> np.ndarray:
+    """Complex a in units of 2^-e (ohm, or volt per ampere) scaled back in
+    place; ValidationError "<what> exceeds the float range" past it."""
+    with np.errstate(over="ignore"):  # rejected below
+        for part in (a.real, a.imag):
+            np.ldexp(part, -e, out=part)
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{what} exceeds the float range")
+    return a

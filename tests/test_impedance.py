@@ -173,6 +173,61 @@ def test_verdicts_independent_of_units():
             )
 
 
+def _ldexp(z, k):
+    """z (complex scalar or array) times 2^k, part by part."""
+    z = np.asarray(z, dtype=complex)
+    return np.ldexp(z.real, k) + 1j * np.ldexp(z.imag, k)
+
+
+def _scaled_pow2(net, k):
+    """net with every R, L and Z times 2^k and every C times 2^-k."""
+    def value(e):
+        if e.kind is ElementKind.CAPACITOR:
+            return math.ldexp(e.value, -k)
+        if e.kind is ElementKind.IMPEDANCE:
+            return complex(_ldexp(e.value, k))
+        return math.ldexp(e.value, k)
+
+    return Network(net.node_count, tuple(
+        Branch(br.node_a, br.node_b, Element(br.element.kind, value(br.element)))
+        for br in net.branches
+    ))
+
+
+@pytest.mark.parametrize("kinds", ["R", "LC", "RZ", "RLCZ"])
+def test_answers_scale_exactly_with_power_of_two_units(kinds):
+    # Every admittance times 2^-k: node_system hands both routes the same
+    # Laplacian bits in its unit, so every impedance is exactly 2^k times
+    # the reference and every verdict is the same.
+    rng = np.random.default_rng(2203)
+    omega = 0.9
+    for trial in range(6):
+        net = random_connected_network(rng, 8, 40, kinds, decades=2.0)
+        n = net.node_count
+        ref_table = impedance_matrix(net, omega)
+        ref_pair = two_point_impedance(net, omega, 1, n)
+        ref_direct = solve_direct(net, omega, 1, n)
+        for k in (300, -300, 600, -600, 900, -900):
+            twin = _scaled_pow2(net, k)
+            table = impedance_matrix(twin, omega)
+            pair = two_point_impedance(twin, omega, 1, n)
+            direct = solve_direct(twin, omega, 1, n)
+            where = (kinds, trial, k)
+            for got, ref in ((table, ref_table), (pair, ref_pair)):
+                assert got.status is ref.status, where
+                assert got.resonant_mode_count == ref.resonant_mode_count, where
+                assert got.near_resonance == ref.near_resonance, where
+                assert got.min_nontrivial_abs_lambda == math.ldexp(
+                    ref.min_nontrivial_abs_lambda, -k), where
+                assert np.array_equal(got.value, _ldexp(ref.value, k)), where
+                assert np.array_equal(got.divergent_coefficient,
+                                      ref.divergent_coefficient), where
+            if isinstance(ref_direct, SingularSystem):
+                assert isinstance(direct, SingularSystem), where
+            else:
+                assert direct == complex(_ldexp(ref_direct, k)), where
+
+
 # ── impedance matrix ─────────────────────────────────────────────────────
 
 def test_matrix_agrees_with_single_queries(triangle):
