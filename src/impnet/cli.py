@@ -35,8 +35,8 @@ from .impedance import (
 )
 from .laplacian import check_angular_frequency, check_band
 from .network import (
-    Boundary, Element, ElementKind, check_pair, grid_network, make_element,
-    parse_netlist, ring_network, serialize_netlist,
+    MAX_SIZE, Boundary, Element, ElementKind, Network, check_pair, check_ring_size,
+    grid_network, make_element, parse_netlist, ring_network, serialize_netlist,
 )
 from .resonance import find_resonances
 
@@ -64,6 +64,14 @@ def _fmt_complex(z: complex) -> str:
     re, im = float(z.real), float(z.imag)
     sign = "-" if (im < 0 or (im == 0 and math.copysign(1.0, im) < 0)) else "+"
     return f"{_fmt(re)} {sign} {_fmt(abs(im))}j"
+
+
+def _modulus(z: complex) -> float:
+    """abs(z), or inf where it exceeds the float range."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,7 +218,7 @@ def _cmd_impedance(args) -> int:
     else:
         print("status: finite")
         print(f"Z({p},{q}) = {_fmt_complex(r.value)} ohm")
-        print(f"|Z| = {_fmt(abs(r.value))} ohm")
+        print(f"|Z| = {_fmt(_modulus(r.value))} ohm")
         print(f"phase = {_fmt(cmath.phase(r.value))} rad")
         print(f"omega = {_fmt(r.omega)} rad/s")
         if r.near_resonance:
@@ -232,7 +240,7 @@ def _cmd_sweep(args) -> int:
     if args.points < 2:
         raise ValidationError("need at least 2 sweep points")
     too_many = f"--points {args.points}: too many sweep points"
-    if args.points > sys.maxsize // 16:  # how numpy refuses near here varies
+    if args.points > MAX_SIZE:
         raise ValidationError(too_many)
     try:
         omegas = np.geomspace(lo, hi, args.points)
@@ -282,14 +290,24 @@ def _ring_element(option: str, token: str, fields: list[str]) -> Element:
 
 
 def _cmd_generate(args) -> int:
+    try:
+        text = serialize_netlist(_generated_network(args))
+    except MemoryError:
+        raise ValidationError("the generated network does not fit in memory") from None
+    sys.stdout.write(text)
+    return EXIT_OK
+
+
+def _generated_network(args) -> Network:
     if args.ring is not None:
         if {args.inductance, args.capacitance, args.boundary} != {None}:
             raise ValidationError(
                 "--ring takes no --inductance, --capacitance or --boundary")
+        n = check_ring_size(args.ring)
         if args.z is not None:
             impedance = ElementKind.IMPEDANCE.value
             elements = [_ring_element("--z", args.z, [impedance, *args.z.split(",")])]
-            elements *= args.ring
+            elements *= n
         elif args.elements is not None:
             elements = [
                 _ring_element("--elements", tok, tok.split(":"))
@@ -297,22 +315,19 @@ def _cmd_generate(args) -> int:
             ]
         else:
             raise ValidationError("--ring needs --z or --elements")
-        net = ring_network(args.ring, elements)
-    else:
-        if args.z is not None or args.elements is not None:
-            raise ValidationError("--grid takes no --z or --elements")
-        try:
-            m_s, n_s = args.grid.lower().split("x")
-            m, n = int(m_s), int(n_s)
-        except ValueError:
-            raise ValidationError(f"--grid expects MxN, got {args.grid!r}") from None
-        if args.inductance is None or args.capacitance is None:
-            raise ValidationError("--grid needs --inductance and --capacitance")
-        net = grid_network(
-            m, n, args.inductance, args.capacitance, Boundary(args.boundary or "free")
-        )
-    sys.stdout.write(serialize_netlist(net))
-    return EXIT_OK
+        return ring_network(n, elements)
+    if args.z is not None or args.elements is not None:
+        raise ValidationError("--grid takes no --z or --elements")
+    try:
+        m_s, n_s = args.grid.lower().split("x")
+        m, n = int(m_s), int(n_s)
+    except ValueError:
+        raise ValidationError(f"--grid expects MxN, got {args.grid!r}") from None
+    if args.inductance is None or args.capacitance is None:
+        raise ValidationError("--grid needs --inductance and --capacitance")
+    return grid_network(
+        m, n, args.inductance, args.capacitance, Boundary(args.boundary or "free")
+    )
 
 
 # ── check ────────────────────────────────────────────────────────────────
@@ -332,8 +347,13 @@ def _cmd_check(args) -> int:
     s_res = s.status is ImpedanceStatus.RESONANT
 
     direct = [solve_direct(net, omega, *pq) for pq in pairs]
+    # moduli and differences in units of 1 / unit, a power of two at which
+    # none overflows: 1 unless a part reaches 2^1021
+    top = max((max(abs(v.real), abs(v.imag)) for v in (*spectral, *direct)
+               if not isinstance(v, SingularSystem)), default=0.0)
+    unit = math.ldexp(1.0, min(0, 1021 - math.frexp(top)[1]))
     finite_scale = max(
-        (abs(z) for z in direct if not isinstance(z, SingularSystem)),
+        (abs(z * unit) for z in direct if not isinstance(z, SingularSystem)),
         default=0.0,
     )
 
@@ -352,8 +372,8 @@ def _cmd_check(args) -> int:
             d_txt = "singular" if d_res else _fmt_complex(d)
             print(f"{label},{s_txt},{d_txt},VERDICT MISMATCH")
             continue
-        denom = max(abs(d), finite_scale)
-        dev = abs(z - d) / denom if denom > 0 else 0.0
+        denom = max(abs(d * unit), finite_scale)
+        dev = abs(z * unit - d * unit) / denom if denom > 0 else 0.0
         max_dev = max(max_dev, dev)
         print(f"{label},{_fmt_complex(z)},{_fmt_complex(d)},{_fmt(dev)}")
     print(f"max relative deviation: {_fmt(max_dev)}")

@@ -4,7 +4,8 @@ Ground node q, inject one ampere at node p, solve the reduced (n-1) node
 system by LAPACK's zgetrf (dense LU with partial pivoting) and zgetrs, and
 read the impedance off V_p.
 This route shares no code with the factorization path beyond Laplacian
-assembly, so agreement between the two is a meaningful end-to-end check.
+assembly in node_system, which owns the unit of 2^e siemens that both
+factor in, so agreement between the two is a meaningful end-to-end check.
 
 A vanishing pivot (relative to the uncancelled admittance scale of the
 network, which stays finite even when the Laplacian itself cancels at a
@@ -49,7 +50,9 @@ def solve_node_potentials(
     Node q is grounded (V_q = 0).  Returns the full n-vector of potentials,
     or SingularSystem when an LU pivot of the grounded system is at or below
     SINGULAR_REL_TOL (1e-13) of the network admittance scale.  The block is
-    factored in node_system's unit; ValidationError past the float range.
+    factored in node_system's unit of 2^e siemens, where subnormal
+    admittances keep their digits, and to_float_range scales the
+    potentials back, with ValidationError past the float range.
     """
     w = check_angular_frequency(omega)
     p, q = check_pair(net, p, q)

@@ -14,7 +14,9 @@ the projection of e_p - e_q onto the zero space: the sum of |u_ap - u_aq|^2
 over the zero columns, which does not depend on the basis a degenerate
 resonance leaves free.  The sums read only rows p and q of the u_a, so
 both a single query and the all-pairs table take the rows they read from
-takagi_rows: two for a pair, all n for the table.
+takagi_rows: two for a pair, all n for the table.  They factor L in
+node_system's unit of 2^e siemens, which owns the scaling: lambda and the
+mode sums stay in it, and to_float_range takes each impedance back to ohm.
 """
 
 from __future__ import annotations
@@ -47,7 +49,9 @@ class ImpedanceResult:
 
     status is RESONANT when a nontrivial mode has |lambda| at or below
     SINGULAR_REL_TOL times the network's admittance_scale, the rule the
-    direct route applies to its pivots.  value holds the mode sum over
+    direct route applies to its pivots, or at or below takagi_rows' noise
+    floor 16 n eps max|lambda|, which it zeroes first and which can be the
+    larger once n is about 15 or more (ROADMAP item 2).  value holds the mode sum over
     retained (nonzero) modes; when RESONANT it is only the finite principal
     part and the physical impedance diverges with strength
     divergent_coefficient = ||P0 (e_p - e_q)||^2, where P0 projects onto the

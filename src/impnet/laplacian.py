@@ -22,7 +22,10 @@ from .network import KIND_CODES, ElementKind, Network, _as_number, _column_eleme
 
 # A Laplacian is singular at omega when a pivot (direct route) or a
 # factorization value |lambda| (spectral route) is at or below this fraction
-# of admittance_scale(net, omega).  The one singularity rule of the package.
+# of admittance_scale(net, omega).  The one singularity rule of the package,
+# except that takagi_rows first zeroes every |lambda| at or below its noise
+# floor, 16 n eps max|lambda|, which can be the larger once n >~ 15 (ROADMAP
+# item 2).
 SINGULAR_REL_TOL = 1e-13
 
 

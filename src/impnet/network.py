@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,6 +40,12 @@ from .errors import (
     NetlistSyntaxError,
     ValidationError,
 )
+
+
+# The largest node count of a generated network and the most sweep points:
+# past it how allocation fails (OverflowError, MemoryError, or none for a
+# while) varies with the size, numpy and the host.
+MAX_SIZE = sys.maxsize // 16
 
 
 class ElementKind(Enum):
@@ -398,12 +405,14 @@ def _fmt(x: float) -> str:
 # ── generators ───────────────────────────────────────────────────────────
 
 def check_ring_size(n: int) -> int:
-    """n as an int; ValidationError unless it is an integer of at least 3."""
+    """n as an int; ValidationError unless it is an integer from 3 to MAX_SIZE."""
     size = _as_int(n)
     if size is None:
         raise ValidationError(f"ring size must be an integer, got {n!r}")
     if size < 3:
         raise ValidationError(f"ring needs at least 3 nodes, got {n}")
+    if size > MAX_SIZE:
+        raise ValidationError(f"ring of {n} nodes is too large")
     return size
 
 
@@ -411,13 +420,15 @@ def check_grid(
     m: int, n: int, inductance: float, capacitance: float, boundary: Boundary
 ) -> tuple[int, int, Element, Element]:
     """m and n as ints and the inductor and capacitor of a valid m-by-n grid;
-    ValidationError unless m and n are integers >= 2, boundary is a Boundary
-    and Element takes both values."""
+    ValidationError unless m and n are integers >= 2 with m n <= MAX_SIZE,
+    boundary is a Boundary and Element takes both values."""
     dims = _as_int(m), _as_int(n)
     if None in dims:
         raise ValidationError(f"grid dimensions must be integers, got ({m!r}, {n!r})")
     if min(dims) < 2:
         raise ValidationError(f"grid dimensions must be >= 2, got ({m}, {n})")
+    if dims[0] * dims[1] > MAX_SIZE:
+        raise ValidationError(f"grid of {m} x {n} nodes is too large")
     if not isinstance(boundary, Boundary):
         raise ValidationError(f"bad boundary {boundary!r}")
     return *dims, Element.inductor(inductance), Element.capacitor(capacitance)

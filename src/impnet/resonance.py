@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .errors import NearSingularError, ValidationError
+from .errors import ConvergenceError, NearSingularError, ValidationError
 from .impedance import ImpedanceStatus, two_point_impedance
 from .laplacian import (
     SINGULAR_REL_TOL, assemble_laplacian, check_angular_frequency, check_band,
@@ -210,6 +210,9 @@ def find_resonances(
     that fails this test falls back to two_point_impedance(net, omega, 1, 2)
     (the verdict does not depend on the pair) and is kept only when it is
     RESONANT, so a reported omega is one where ``impnet impedance`` exits 2.
+    Raises ConvergenceError when the pencil eigensolve fails, and
+    ValidationError when a certified root's residual in siemens exceeds the
+    float range, as an impedance query there would.
     """
     lo, hi = check_band(omega_lo, omega_hi)
     pencil = _balance(*laplacian_parts(net))
@@ -218,7 +221,8 @@ def find_resonances(
     omegas, z = _pencil_roots(pencil, lo, hi)
     merged = _merge_sorted(omegas.tolist())
     first = np.searchsorted(omegas, merged)  # the first root of each cluster
-    residuals, certified = _certify(pencil, np.array(merged), z[:, first])
+    with np.errstate(all="ignore"):  # a term past the float range certifies nothing
+        residuals, certified = _certify(pencil, np.array(merged), z[:, first])
     kept = []
     for w, s, ok in zip(merged, residuals.tolist(), certified):
         if not ok:
@@ -226,6 +230,8 @@ def find_resonances(
             if r.status is not ImpedanceStatus.RESONANT:
                 continue
             s = r.min_nontrivial_abs_lambda
+        elif not math.isfinite(s):
+            raise ValidationError(f"residual at omega {w!r} exceeds the float range")
         kept.append((w, s))
     return ResonanceReport(
         omegas=tuple(w for w, _ in kept),
@@ -301,17 +307,19 @@ def _pencil_roots(
     a2, a0 = pencil.c[grounded], pencil.g[grounded]
     m = a0.shape[0]
     if not pencil.y.any():
-        x = scipy.linalg.eigh(a0, a0 + a2, check_finite=False)[1]
+        x = _eigensolve(scipy.linalg.eigh, a0, a0 + a2, check_finite=False)[1]
         x = x[:, _groups(pencil.g) - 1:m + 1 - _groups(pencil.c)]
         z = np.insert(x, ground, 0.0, axis=0)
-        omegas = np.ldexp(np.sqrt(_energy(pencil.g, z) / _energy(pencil.c, z)),
-                          pencil.k)
+        with np.errstate(all="ignore"):  # non-finite roots fail the range test
+            omegas = np.ldexp(np.sqrt(_energy(pencil.g, z) / _energy(pencil.c, z)),
+                              pencil.k)
     else:
         a1 = pencil.y[grounded]
         if not a1.imag.any():  # real QZ unless fixed impedances make Y complex
             a1 = a1.real
         eye, zero = np.eye(m), np.zeros((m, m))
-        (alpha, beta), v = scipy.linalg.eig(
+        (alpha, beta), v = _eigensolve(
+            scipy.linalg.eig,
             np.block([[-a1, -a0], [eye, zero]]), np.block([[a2, zero], [zero, eye]]),
             right=True, overwrite_a=True, overwrite_b=True, check_finite=False,
             homogeneous_eigvals=True,
@@ -325,6 +333,16 @@ def _pencil_roots(
     keep = (omegas >= lo) & (omegas <= hi)
     order = np.argsort(omegas[keep], kind="stable")
     return omegas[keep][order], z[:, keep][:, order]
+
+
+def _eigensolve(solve, *args, **kwargs):
+    """solve(*args, **kwargs), a scipy eigensolve, whose LinAlgError (a
+    balanced a0 + a2 that is not numerically definite, or no convergence)
+    is raised as ConvergenceError."""
+    try:
+        return solve(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"pencil eigensolve failed: {exc}") from None
 
 
 def _groups(part: np.ndarray) -> int:
@@ -350,7 +368,9 @@ def _certify(
     """Prove from vectors z that L(omega) is RESONANT at each omega.
 
     Column i of z goes with omegas[i].  Returns ||L z|| / ||z|| in siemens
-    and whether it certifies the verdict of two_point_impedance.
+    and whether it certifies the verdict of two_point_impedance; a term that
+    leaves the float range (NaN or inf, under the caller's errstate)
+    certifies nothing.
 
     Derivation.  L = L(omega) is the Laplacian of the merged branch
     admittances that the parts hold off the diagonal; assemble_laplacian's
@@ -413,8 +433,9 @@ def _certify(
     )
     rho, alpha, nu = (np.hypot.reduce(np.abs(v), axis=0) for v in (defect, bound, az))
     allowance = (2.0 * _gamma(r + 3) + _gamma(r - 1)) * alpha
-    certified = (rho + allowance) * (1.0 + _gamma(4 * n + 3 * r)) <= (
-        SINGULAR_REL_TOL * scale * nu
+    certified = np.isfinite(scale) & (
+        (rho + allowance) * (1.0 + _gamma(4 * n + 3 * r))
+        <= SINGULAR_REL_TOL * scale * nu
     )
     return np.ldexp(rho / nu, -(k + d)), certified
 

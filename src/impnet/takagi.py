@@ -362,9 +362,12 @@ def classify_zero_modes(
 
     Zero modes are entries with |lambda| <= SINGULAR_REL_TOL * scale, where
     scale is the network's admittance_scale: the rule the direct route
-    applies to its LU pivots.  It does not depend on max|lambda|, so a wide
-    spread of element values cannot turn a small live mode into a zero, and
-    a Laplacian that cancels completely has only zero modes.  Their span,
+    applies to its LU pivots.  This test does not depend on max|lambda|, and
+    a Laplacian that cancels completely has only zero modes; but the
+    |lambda| of takagi_rows are already 0 at or below its noise floor,
+    16 n eps max|lambda|, which can exceed SINGULAR_REL_TOL * scale once n
+    is about 15 or more, so there a wide spread of element values can turn a
+    small live mode into a zero (ROADMAP item 2).  Their span,
     the zero space, must hold the constant vector (the trivial mode every
     connected network has): ||P0 1|| / sqrt(n) >= 0.99, the norm of the
     column sums over the zero columns, which is the same for any

@@ -447,6 +447,28 @@ def test_resonances_non_finite_part_is_input_error(capsys, tmp_path, netlist):
     assert "not finite" in capsys.readouterr().err
 
 
+def test_resonances_failed_eigensolve_is_input_error(capsys, tmp_path):
+    p = tmp_path / "c.net"
+    p.write_text("NET 3\nC 1 2 4e307\nC 2 3 2.5e-308\n")
+    assert main(["resonances", str(p), "--omega-lo", "0.1", "--omega-hi", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("impnet: error: pencil eigensolve failed: ")
+
+
+def test_resonances_json_never_prints_non_finite(capsys, tmp_path):
+    p = tmp_path / "w.net"
+    p.write_text("NET 4\nZ 1 2 1.7e308 3\nC 2 3 1e10\nZ 3 4 1e10 0.5\nC 4 2 1\n"
+                 "R 3 2 4e307\nL 1 3 1e-300\n")
+    argv = ["resonances", str(p), "--omega-lo", "1e-300", "--omega-hi", "1e300",
+            "--format", "json"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("impnet: error: residual at omega 4.569564421762447e-47 "
+                            "exceeds the float range\n")
+
+
 # ── generate ─────────────────────────────────────────────────────────────
 
 def test_generate_ring_elements(capsys):
@@ -537,6 +559,17 @@ def test_generate_rejects_bad_specs(capsys):
     (["sweep", "LC", "--pair", "1", "2", "--omega-lo", "0.5", "--omega-hi", "2",
       "--points", "288230376151711744"],
      "--points 288230376151711744: too many sweep points"),
+    # Sizes past sys.maxsize // 16, rejected before any list is built.
+    (["generate", "--ring", "9223372036854775808", "--z", "1,0"],
+     "ring of 9223372036854775808 nodes is too large"),
+    (["generate", "--ring", "4611686018427387904", "--z", "1,0"],
+     "ring of 4611686018427387904 nodes is too large"),
+    (["generate", "--ring", "576460752303423488", "--elements", "L:1,L:1,C:1"],
+     "ring of 576460752303423488 nodes is too large"),
+    (["generate", "--grid", "9223372036854775808x3", "--inductance", "1",
+      "--capacitance", "1"], "grid of 9223372036854775808 x 3 nodes is too large"),
+    (["generate", "--grid", "1073741824x1073741824", "--inductance", "1",
+      "--capacitance", "1"], "grid of 1073741824 x 1073741824 nodes is too large"),
 ])
 def test_input_error_messages(capsys, lc_path, argv, err):
     argv = [lc_path if a == "LC" else a for a in argv]
@@ -544,6 +577,18 @@ def test_input_error_messages(capsys, lc_path, argv, err):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"impnet: error: {err}\n"
+
+
+def test_generate_out_of_memory_is_input_error(capsys, monkeypatch):
+    def exhausted(net):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "serialize_netlist", exhausted)
+    assert main(["generate", "--ring", "3", "--z", "1,0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "impnet: error: the generated network does not fit in memory\n")
 
 
 def test_generate_kind_letter_is_case_insensitive(capsys):
@@ -620,6 +665,22 @@ def test_check_agrees_just_off_resonance(capsys, ring_llc_path):
     out = capsys.readouterr().out
     assert code == 0
     assert "VERDICT MISMATCH" not in out
+
+
+def test_check_and_impedance_with_moduli_past_float_range(capsys, tmp_path):
+    # |Z| of every pair exceeds the float range though both parts are
+    # finite: check computes its deviations in a smaller power-of-two unit,
+    # and the human impedance output prints |Z| as inf.
+    p = tmp_path / "zz.net"
+    p.write_text("NET 3\nZ 1 2 5e-324 1.7e308\nZ 2 3 1.7e308 5e-324\n")
+    assert main(["check", str(p), "--omega", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "pair,spectral,direct,deviation" and len(lines) == 5
+    devs = [float(line.rsplit(",", 1)[1]) for line in lines[1:4]]
+    assert all(0.0 <= dev <= 1e-15 for dev in devs)
+    assert lines[4] == f"max relative deviation: {max(devs)!r}"
+    assert main(["impedance", str(p), "--pair", "1", "3", "--omega", "1"]) == 0
+    assert "|Z| = inf ohm" in capsys.readouterr().out.splitlines()
 
 
 def test_check_exit_3_on_verdict_mismatch(capsys, monkeypatch, triangle_path):

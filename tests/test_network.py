@@ -25,7 +25,7 @@ from impnet import (
     serialize_netlist,
 )
 from impnet.cli import main
-from impnet.network import make_element
+from impnet.network import MAX_SIZE, check_grid, check_ring_size, make_element
 from conftest import TRIANGLE_NETLIST, random_connected_network
 
 # ── elements ─────────────────────────────────────────────────────────────
@@ -554,6 +554,21 @@ def test_sizes_must_be_integers(size):
         for m, n in ((size, 3), (3, size)):
             with pytest.raises(ValidationError, match="grid dimensions must be integers"):
                 build(m, n, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("m, n", [(2 ** 63, 3), (3, 2 ** 63), (2 ** 30, 2 ** 30)])
+def test_oversized_generators_rejected_before_building(m, n):
+    # Sizes past MAX_SIZE = sys.maxsize // 16, the rule of sweep --points,
+    # are input errors checked before any list is built.
+    assert check_ring_size(MAX_SIZE) == MAX_SIZE
+    half = MAX_SIZE // 2
+    assert check_grid(half, 2, 1.0, 1.0, Boundary.FREE)[:2] == (half, 2)
+    for size in (MAX_SIZE + 1, 2 ** 63):
+        with pytest.raises(ValidationError, match=f"ring of {size} nodes is too large"):
+            ring_network(size, [])
+    for build in (grid_network, grid_resonances_analytic):
+        with pytest.raises(ValidationError, match=f"grid of {m} x {n} nodes is too"):
+            build(m, n, 1.0, 1.0)
 
 
 def test_numpy_integer_sizes_accepted():

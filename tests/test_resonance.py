@@ -12,6 +12,7 @@ import scipy.linalg
 from impnet import (
     Boundary,
     Branch,
+    ConvergenceError,
     DetectionMethod,
     Element,
     ElementKind,
@@ -24,6 +25,7 @@ from impnet import (
     grid_network,
     grid_resonances_analytic,
     laplacian_parts,
+    parse_netlist,
     ring_network,
     ring_reactance_resonance_check,
     two_point_impedance,
@@ -475,6 +477,49 @@ def test_sweep_validation():
         find_resonances(net, 2.0, 1.0)
     with pytest.raises(ValidationError):
         find_resonances(net, 0.0, 1.0)
+
+
+# ── the float range ──────────────────────────────────────────────────────
+
+def test_failed_pencil_eigensolve_is_convergence_error(monkeypatch):
+    # Balancing underflows the tiny capacitor, so a0 + a2 is not
+    # numerically positive definite and eigh fails.
+    net = parse_netlist("NET 3\nC 1 2 4e307\nC 2 3 2.5e-308\n")
+    with pytest.raises(ConvergenceError, match="pencil eigensolve failed"):
+        find_resonances(net, 0.1, 10.0)
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("eig algorithm did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "eig", fail)
+    net = Network(2, (Branch(1, 2, Element.inductor(1.0)),
+                      Branch(1, 2, Element.capacitor(1.0)),
+                      Branch(1, 2, Element.resistor(1.0))))
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        find_resonances(net, 0.5, 2.0)
+
+
+def test_underflowing_branch_energy_warns_nothing():
+    # The capacitive energy of a column underflows: its root is not finite
+    # and is dropped by the range test, without a warning.
+    net = parse_netlist(
+        "NET 4\nC 1 2 2.5e-308\nL 2 3 1e10\nL 3 4 0.5\nL 3 1 3\nC 2 3 1\n")
+    rep = find_resonances(net, 0.1, 10.0)
+    assert rep.omegas == () and rep.raw_count == 0
+
+
+def test_residual_past_float_range_is_input_error():
+    # The root near 4.6e-47 rad/s is certified, but its residual in
+    # siemens, like the 1e-300 H inductor's admittance there, is beyond
+    # the float range: an error, as an impedance query there would be.
+    net = parse_netlist(
+        "NET 4\nZ 1 2 1.7e308 3\nC 2 3 1e10\nZ 3 4 1e10 0.5\nC 4 2 1\n"
+        "R 3 2 4e307\nL 1 3 1e-300\n")
+    with pytest.raises(ValidationError,
+                       match="residual at omega 4.569564421762447e-47 exceeds"):
+        find_resonances(net, 1e-300, 1e300)
+    with pytest.raises(ValidationError, match="not finite"):
+        two_point_impedance(net, 4.569564421762447e-47, 1, 2)
 
 
 # ── ring reactance sum rule ──────────────────────────────────────────────
