@@ -51,9 +51,9 @@ class ImpedanceResult:
     SINGULAR_REL_TOL times the network's admittance_scale, the rule the
     direct route applies to its pivots, or at or below takagi_rows' noise
     floor 16 n eps max|lambda|, which it zeroes first and which can be the
-    larger once n is about 15 or more (ROADMAP item 2).  value holds the mode sum over
-    retained (nonzero) modes; when RESONANT it is only the finite principal
-    part and the physical impedance diverges with strength
+    larger once n is about 15 or more (ROADMAP item 2).  value holds the
+    mode sum over retained (nonzero) modes; when RESONANT it is only the
+    finite principal part and the physical impedance diverges with strength
     divergent_coefficient = ||P0 (e_p - e_q)||^2, where P0 projects onto the
     zero modes: the sum of |u_ap - u_aq|^2 over them, the same for any
     basis of the zero space.  min_nontrivial_abs_lambda is the smallest
