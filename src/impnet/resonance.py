@@ -210,9 +210,7 @@ def find_resonances(
     that fails this test falls back to two_point_impedance(net, omega, 1, 2)
     (the verdict does not depend on the pair) and is kept only when it is
     RESONANT, so a reported omega is one where ``impnet impedance`` exits 2.
-    Raises ConvergenceError when the pencil eigensolve fails, and
-    ValidationError when a certified root's residual in siemens exceeds the
-    float range, as an impedance query there would.
+    Raises ConvergenceError when the pencil eigensolve fails.
     """
     lo, hi = check_band(omega_lo, omega_hi)
     pencil = _balance(*laplacian_parts(net))
@@ -230,8 +228,6 @@ def find_resonances(
             if r.status is not ImpedanceStatus.RESONANT:
                 continue
             s = r.min_nontrivial_abs_lambda
-        elif not math.isfinite(s):
-            raise ValidationError(f"residual at omega {w!r} exceeds the float range")
         kept.append((w, s))
     return ResonanceReport(
         omegas=tuple(w for w, _ in kept),
@@ -368,9 +364,9 @@ def _certify(
     """Prove from vectors z that L(omega) is RESONANT at each omega.
 
     Column i of z goes with omegas[i].  Returns ||L z|| / ||z|| in siemens
-    and whether it certifies the verdict of two_point_impedance; a term that
-    leaves the float range (NaN or inf, under the caller's errstate)
-    certifies nothing.
+    and whether it certifies the verdict of two_point_impedance; a term or
+    a residual that leaves the float range (NaN or inf, under the caller's
+    errstate) certifies nothing.
 
     Derivation.  L = L(omega) is the Laplacian of the merged branch
     admittances that the parts hold off the diagonal; assemble_laplacian's
@@ -433,11 +429,12 @@ def _certify(
     )
     rho, alpha, nu = (np.hypot.reduce(np.abs(v), axis=0) for v in (defect, bound, az))
     allowance = (2.0 * _gamma(r + 3) + _gamma(r - 1)) * alpha
-    certified = np.isfinite(scale) & (
+    residuals = np.ldexp(rho / nu, -(k + d))
+    certified = np.isfinite(scale) & np.isfinite(residuals) & (
         (rho + allowance) * (1.0 + _gamma(4 * n + 3 * r))
         <= SINGULAR_REL_TOL * scale * nu
     )
-    return np.ldexp(rho / nu, -(k + d)), certified
+    return residuals, certified
 
 
 def _uncancelled(part: np.ndarray) -> np.ndarray:

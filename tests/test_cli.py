@@ -465,8 +465,8 @@ def test_resonances_json_never_prints_non_finite(capsys, tmp_path):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("impnet: error: residual at omega 4.569564421762447e-47 "
-                            "exceeds the float range\n")
+    assert captured.err == ("impnet: error: admittance of inductor 1e-300 at omega "
+                            "4.569564421762447e-47 is not finite\n")
 
 
 # ── generate ─────────────────────────────────────────────────────────────

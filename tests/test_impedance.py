@@ -29,7 +29,7 @@ from impnet import (
     takagi_decompose,
     two_point_impedance,
 )
-from impnet import impedance, takagi
+from impnet import impedance, laplacian, takagi
 from conftest import (
     SQRT3,
     lc_parallel,
@@ -417,7 +417,8 @@ def test_pair_query_back_transforms_two_rows(monkeypatch, case):
     first = t.w.size - dec.lam.size
     want = takagi._tridiagonal_residual(t._replace(w=t.w[first:], z=t.z[:, first:]))
     assert dec.residual == want
-    lap = assemble_laplacian(net, omega)
+    # in the unit of the L the query factored, 2^e S
+    lap, _, _ = laplacian.node_system(net, omega)
     assert dec.residual <= 1e-14 * np.linalg.norm(lap, 2)
 
 
