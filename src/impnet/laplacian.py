@@ -52,33 +52,25 @@ def check_band(omega_lo: float, omega_hi: float) -> tuple[float, float]:
 def branch_admittances(net: Network, omega: float) -> np.ndarray:
     """Complex admittance of every branch of net at omega, in branch order.
 
-    Array arithmetic on net's columns with the bits of CPython's scalars:
-    1.0 / v for R and Z (dividing by the larger part of v, where numpy would
-    multiply by a reciprocal), -1j / (omega L), or (-1j / omega) / L where
-    omega L under- or overflows, and 1j * omega * C.  Raises ValidationError
-    naming the first element whose admittance is 0 or not finite (for example
-    a tiny omega C, a subnormal resistance or a huge capacitance).
+    R and Z branches take CPython's quotient 1.0 / z, one value at a time:
+    numpy's complex division multiplies by a reciprocal, so its last bit can
+    differ.  L and C branches take array formulas that numpy and CPython
+    round alike: -1j / (omega L), or (-1j / omega) / L where omega L under-
+    or overflows, and 1j * (omega C).  Raises ValidationError naming the
+    first element whose admittance is 0 or not finite (for example a tiny
+    omega C, a subnormal resistance or a huge capacitance).
     """
     w = check_angular_frequency(omega)
-    re, im = net.values.real, net.values.imag
+    re = net.values.real
     ind = net.kinds == KIND_CODES[ElementKind.INDUCTOR]
     cap = net.kinds == KIND_CODES[ElementKind.CAPACITOR]
-    ys = np.empty(re.shape, complex)  # written through its views ys.real, ys.imag
+    rz = ~(ind | cap)
+    ys = np.empty(re.shape, complex)
+    ys[rz] = [1.0 / z for z in net.values[rz].tolist()]
     with np.errstate(all="ignore"):  # 0 and non-finite admittances rejected below
-        # R, Z: 1 / (re + j im) by the larger part p of re, im and the other q
-        flip = np.abs(im) > np.abs(re)
-        p, q = np.where(flip, im, re), np.where(flip, re, im)
-        ratio = q / p
-        denom = p + q * ratio
-        np.divide(1.0, denom, out=ys.real)
-        np.divide(np.where(flip, ratio + 0.0, 0.0 - ratio), denom, out=ys.imag)
-        np.copyto(ys.real, ys.imag, where=flip)
-        np.negative(1.0 / denom, out=ys.imag, where=flip)
         wv = w * re  # omega L, or omega C
-        np.copyto(ys.real, 0.0, where=cap)
-        np.copyto(ys.imag, wv, where=cap)
-        np.copyto(ys.real, -0.0, where=ind)
-        np.divide(-1.0, wv, out=ys.imag, where=ind)
+        ys[cap] = 1j * wv[cap]
+        ys[ind] = -1j / wv[ind]
         np.divide(-1.0 / w, re, out=ys.imag, where=ind & ((wv == 0.0) | (wv == math.inf)))
     bad = ~np.isfinite(ys) | (ys == 0)
     if np.count_nonzero(bad):
