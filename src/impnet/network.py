@@ -483,11 +483,14 @@ def grid_network(
     """
     m, n, ind, cap = check_grid(m, n, inductance, capacitance, boundary)
     wrap = boundary is Boundary.TOROIDAL
-    # 0-based node (x, y) is x*n + y here; each kind's wrap branches come last
-    caps = [(x * n + y, (x + 1) % m * n + y) for x in range(m - 1 + wrap) for y in range(n)]
-    inds = [(x * n + y, x * n + y + 1) for x in range(m) for y in range(n - 1)]
-    inds += [(x * n + n - 1, x * n) for x in range(m)] if wrap else []
+    # 0-based node (x, y) is x*n + y here; each kind's wrap branches come last.
+    # The array comes before any list, so a grid beyond memory fails at once.
+    node = np.arange(m * n).reshape(m, n)
+    down, right = np.roll(node, -1, 0), np.roll(node, -1, 1)
+    caps = [(node[:m - 1 + wrap], down[:m - 1 + wrap])]
+    inds = [(node[:, :-1], right[:, :-1])] + [(node[:, -1], right[:, -1])] * wrap
+    ends = np.concatenate([np.stack(pair, -1).reshape(-1, 2) for pair in caps + inds])
+    count = (m - 1 + wrap) * n
     return Network.__new__(Network)._fill(
-        m * n, [KIND_CODES[cap.kind]] * len(caps) + [KIND_CODES[ind.kind]] * len(inds),
-        [end for pair in caps + inds for end in pair],
-        [cap.value] * len(caps) + [ind.value] * len(inds))
+        m * n, [KIND_CODES[cap.kind]] * count + [KIND_CODES[ind.kind]] * (len(ends) - count),
+        ends.ravel().tolist(), [cap.value] * count + [ind.value] * (len(ends) - count))

@@ -36,7 +36,7 @@ from .laplacian import (
     laplacian_parts,
 )
 from .network import (
-    Boundary, ElementKind, Network, _check_element, _components, check_grid,
+    KIND_CODES, Boundary, ElementKind, Network, _check_element, _components, check_grid,
     check_ring_size, ring_network,
 )
 
@@ -200,7 +200,11 @@ def find_resonances(
     eigh of order n-1 for an LC network (Y = 0), each root from the branch
     energies of its eigenvector, else one QZ of the 2(n-1) companion
     linearization; roots in the range are merged within MERGE_REL_TOL.
-    With C = Gamma = 0, L does not depend on omega and nothing is reported.
+    A network with neither L nor C, or with no Z and no L or no C, cannot
+    resonate, and the empty report comes before any eigensolve: its L(omega)
+    is constant, G + j omega C or G + Gamma / (j omega) with G, C and Gamma
+    real positive semidefinite Laplacians that together join every node, so
+    L(omega) x = 0 only for constant x.
 
     Each merged omega is reported only when the network is RESONANT there
     by the rule of two_point_impedance: some nontrivial |lambda| is at or
@@ -213,9 +217,12 @@ def find_resonances(
     Raises ConvergenceError when the pencil eigensolve fails.
     """
     lo, hi = check_band(omega_lo, omega_hi)
-    pencil = _balance(*laplacian_parts(net))
-    if pencil is None:
+    parts = laplacian_parts(net)
+    ind, cap, imp = (KIND_CODES[kind] in net.kinds for kind in (
+        ElementKind.INDUCTOR, ElementKind.CAPACITOR, ElementKind.IMPEDANCE))
+    if not (ind and cap or imp and (ind or cap)):
         return ResonanceReport((), (), DetectionMethod.PENCIL, 0, 0, 0)
+    pencil = _balance(*parts)
     omegas, z = _pencil_roots(pencil, lo, hi)
     merged = _merge_sorted(omegas.tolist())
     first = np.searchsorted(omegas, merged)  # the first root of each cluster
@@ -254,18 +261,16 @@ class _Pencil(NamedTuple):
     d: int
 
 
-def _balance(c: np.ndarray, y: np.ndarray, g: np.ndarray) -> _Pencil | None:
-    """Balanced parts of the pencil; None when C and Gamma are both zero."""
+def _balance(c: np.ndarray, y: np.ndarray, g: np.ndarray) -> _Pencil:
+    """Balanced parts of the pencil; C or Gamma is not zero."""
     nc, ny, ng = (float(np.abs(part).max()) for part in (c, y, g))
     ec, ey, eg = (math.frexp(v)[1] for v in (nc, ny, ng))
     if nc and ng:
         k = (eg - ec) // 2
     elif nc:
         k = ey - ec
-    elif ng:
-        k = eg - ey
     else:
-        return None
+        k = eg - ey
     d = -max(e for v, e in ((nc, ec + 2 * k), (ny, ey + k), (ng, eg)) if v)
     # ldexp on the float view scales complex parts exactly
     c, y, g = (

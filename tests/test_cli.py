@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from impnet import (
     Boundary, Element, SingularSystem, grid_network, grid_resonances_analytic,
     parse_netlist, ring_network, serialize_netlist,
 )
+import impnet
 from impnet import cli
 from impnet.cli import main
 from conftest import TRIANGLE_NETLIST, random_connected_network
@@ -447,9 +452,23 @@ def test_resonances_non_finite_part_is_input_error(capsys, tmp_path, netlist):
     assert "not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("netlist", [
+    "NET 3\nL 1 2 1e-300\nL 2 3 4e+307\n",
+    "NET 3\nC 1 2 1e-300\nC 2 3 4e+307\n",
+], ids=["L-only", "C-only"])
+def test_resonances_of_network_that_cannot_resonate(capsys, tmp_path, netlist):
+    p = tmp_path / "one-kind.net"
+    p.write_text(netlist)
+    argv = ["resonances", str(p), "--omega-lo", "1e-300", "--omega-hi", "1e300"]
+    assert main([*argv, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["omegas"] == []
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "no resonances detected in range\ndistinct resonances: 0\n"
+
+
 def test_resonances_failed_eigensolve_is_input_error(capsys, tmp_path):
     p = tmp_path / "c.net"
-    p.write_text("NET 3\nC 1 2 4e307\nC 2 3 2.5e-308\n")
+    p.write_text("NET 3\nL 1 2 1e-300\nC 1 3 2.5e-308\nL 3 2 4e+307\nC 2 1 4e+307\n")
     assert main(["resonances", str(p), "--omega-lo", "0.1", "--omega-hi", "10"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -589,6 +608,28 @@ def test_generate_out_of_memory_is_input_error(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err == (
         "impnet: error: the generated network does not fit in memory\n")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS and ru_maxrss in KiB")
+def test_generate_grid_beyond_memory_fails_at_once():
+    # In a child limited to 2 GiB of address space, the 10^10-node grid's
+    # first array allocation fails, before lists of its branches fill memory.
+    child = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from impnet.cli import main\n"
+        "rc = main(['generate', '--grid', '100000x100000',"
+        " '--inductance', '1', '--capacitance', '1'])\n"
+        "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = str(Path(impnet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.stderr == "impnet: error: the generated network does not fit in memory\n"
+    rc, max_rss_kib = map(int, proc.stdout.split())
+    assert rc == 1
+    assert max_rss_kib < 512 << 10
 
 
 def test_generate_kind_letter_is_case_insensitive(capsys):

@@ -1,6 +1,7 @@
 """Seeded robustness of the CLI on element values and frequencies across the
 float range: every command returns an exit code, raises nothing, warns
-nothing (the suite turns warnings into errors) and prints only valid JSON."""
+nothing (the suite turns warnings into errors) and prints only valid JSON;
+resonances finds none where no root can exist."""
 
 import contextlib
 import io
@@ -9,6 +10,7 @@ import random
 
 import pytest
 
+from impnet import ValidationError, laplacian_parts, parse_netlist
 from impnet.cli import main
 
 VALUES = (5e-324, 2.5e-308, 1e-300, 1e-10, 0.5, 1.0, 3.0, 1e10, 1e300, 4e307, 1.7e308)
@@ -20,6 +22,8 @@ KNOWN = (
     "NET 4\nC 1 2 2.5e-308\nL 2 3 1e10\nL 3 4 0.5\nL 3 1 3\nC 2 3 1\n",
     "NET 4\nZ 1 2 1.7e308 3\nC 2 3 1e10\nZ 3 4 1e10 0.5\nC 4 2 1\n"
     "R 3 2 4e307\nL 1 3 1e-300\n",
+    "NET 3\nL 1 2 1e-300\nL 2 3 4e+307\n",
+    "NET 3\nC 1 2 1e-300\nC 2 3 4e+307\n",
 )
 NETLISTS = 300
 
@@ -40,6 +44,17 @@ def _random_netlist(rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _cannot_resonate(text: str) -> bool:
+    """Whether a valid netlist has neither L nor C, or no Z and no L or no C:
+    find_resonances reports nothing for it, before any eigensolve."""
+    kinds = {line[0] for line in text.splitlines()[1:]}
+    try:
+        laplacian_parts(parse_netlist(text))
+    except ValidationError:
+        return False
+    return not ({"L", "C"} <= kinds or "Z" in kinds and kinds & {"L", "C"})
+
+
 def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name}")
 
@@ -51,6 +66,7 @@ def test_cli_survives_extreme_values(tmp_path):
         path = tmp_path / f"net{i}.net"
         path.write_text(text)
         net, n, w = str(path), text.split()[1], repr(rng.choice(VALUES))
+        no_root = _cannot_resonate(text)
         band = ["--omega-lo", "1e-300", "--omega-hi", "1e300"]
         json_out = ["--format", "json"]
         for argv, is_json in (
@@ -68,4 +84,6 @@ def test_cli_survives_extreme_values(tmp_path):
                 pytest.fail(f"{argv[0]} on\n{text}raised {exc!r}")
             assert rc in (0, 1, 2, 3), (argv[0], text, rc)
             if is_json and out.getvalue():
-                json.loads(out.getvalue(), parse_constant=_reject_constant)
+                doc = json.loads(out.getvalue(), parse_constant=_reject_constant)
+            if argv[0] == "resonances" and no_root:  # rc 0 prints the JSON read above
+                assert rc == 0 and doc["omegas"] == [], text

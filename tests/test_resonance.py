@@ -19,6 +19,7 @@ from impnet import (
     NearSingularError,
     ImpedanceStatus,
     Network,
+    ResonanceReport,
     ValidationError,
     eigenvalue_product_identity_check,
     find_resonances,
@@ -144,6 +145,39 @@ def test_sweep_resistor_network_finds_nothing():
     rep = find_resonances(net, 0.1, 10.0)
     assert rep.omegas == ()
     assert rep.distinct_count == 0
+
+
+@pytest.mark.parametrize("netlist", [
+    "NET 3\nL 1 2 1e-300\nL 2 3 4e+307\n",
+    "NET 3\nC 1 2 1e-300\nC 2 3 4e+307\n",
+], ids=["L-only", "C-only"])
+def test_network_that_cannot_resonate_skips_the_eigensolve(monkeypatch, netlist):
+    # Balancing underflows the tiny branch, and the eigensolve would fail;
+    # with no Z and no L or no C there is no root to look for.
+    def fail(*args, **kwargs):
+        raise AssertionError("no eigensolve expected")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", fail)
+    monkeypatch.setattr(scipy.linalg, "eig", fail)
+    rep = find_resonances(parse_netlist(netlist), 1e-300, 1e300)
+    assert rep == ResonanceReport((), (), DetectionMethod.PENCIL, 0, 0, 0)
+    # the input errors of the parts still come first
+    with pytest.raises(ValidationError, match="inductor 1e-310 at omega 1.0 is not finite"):
+        find_resonances(parse_netlist("NET 2\nL 1 2 1e-310\n"), 1e-300, 1e300)
+
+
+@pytest.mark.parametrize("kinds", ["L", "C", "RL", "RC"])
+def test_no_root_rule_hides_no_root(kinds):
+    # the eigensolve that find_resonances skips for these kinds finds nothing
+    rng = np.random.default_rng(53)
+    for decades in (1.0, 3.0, 6.0):
+        for _ in range(60):
+            net = random_connected_network(rng, 5, 30, kinds, decades)
+            while len(set(net.kinds.tolist())) < len(kinds):  # each kind present
+                net = random_connected_network(rng, 5, 30, kinds, decades)
+            pencil = resonance._balance(*laplacian_parts(net))
+            omegas, z = resonance._pencil_roots(pencil, 1e-12, 1e12)
+            assert omegas.size == z.shape[1] == 0, (kinds, decades, net)
 
 
 @pytest.mark.parametrize("k", [1e170, 1e-170, 1e300, 1e-300])
@@ -481,10 +515,13 @@ def test_sweep_validation():
 
 # ── the float range ──────────────────────────────────────────────────────
 
+FAILING_EIGH = "NET 3\nL 1 2 1e-300\nC 1 3 2.5e-308\nL 3 2 4e+307\nC 2 1 4e+307\n"
+
+
 def test_failed_pencil_eigensolve_is_convergence_error(monkeypatch):
-    # Balancing underflows the tiny capacitor, so a0 + a2 is not
-    # numerically positive definite and eigh fails.
-    net = parse_netlist("NET 3\nC 1 2 4e307\nC 2 3 2.5e-308\n")
+    # Balancing underflows the tiny capacitor and inductance, so a0 + a2 is
+    # not numerically positive definite and eigh fails.
+    net = parse_netlist(FAILING_EIGH)
     with pytest.raises(ConvergenceError, match="pencil eigensolve failed"):
         find_resonances(net, 0.1, 10.0)
 
