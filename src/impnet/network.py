@@ -484,13 +484,12 @@ def grid_network(
     m, n, ind, cap = check_grid(m, n, inductance, capacitance, boundary)
     wrap = boundary is Boundary.TOROIDAL
     # 0-based node (x, y) is x*n + y here; each kind's wrap branches come last.
-    # The array comes before any list, so a grid beyond memory fails at once.
+    # The arrays come before any list, so a grid beyond memory fails at once.
     node = np.arange(m * n).reshape(m, n)
-    down, right = np.roll(node, -1, 0), np.roll(node, -1, 1)
-    caps = [(node[:m - 1 + wrap], down[:m - 1 + wrap])]
-    inds = [(node[:, :-1], right[:, :-1])] + [(node[:, -1], right[:, -1])] * wrap
-    ends = np.concatenate([np.stack(pair, -1).reshape(-1, 2) for pair in caps + inds])
-    count = (m - 1 + wrap) * n
+    caps = np.stack((node, np.roll(node, -1, 0)), -1)[:m - 1 + wrap].reshape(-1, 2)
+    inds = np.stack((node, np.roll(node, -1, 1)), -1)
+    inds = np.concatenate((inds[:, :-1].reshape(-1, 2), inds[:, -1][:m * wrap]))
     return Network.__new__(Network)._fill(
-        m * n, [KIND_CODES[cap.kind]] * count + [KIND_CODES[ind.kind]] * (len(ends) - count),
-        ends.ravel().tolist(), [cap.value] * count + [ind.value] * (len(ends) - count))
+        m * n, [KIND_CODES[cap.kind]] * len(caps) + [KIND_CODES[ind.kind]] * len(inds),
+        np.concatenate((caps, inds)).ravel().tolist(),
+        [cap.value] * len(caps) + [ind.value] * len(inds))

@@ -36,8 +36,8 @@ from .laplacian import (
     laplacian_parts,
 )
 from .network import (
-    KIND_CODES, Boundary, ElementKind, Network, _check_element, _components, check_grid,
-    check_ring_size, ring_network,
+    KIND_CODES, Boundary, ElementKind, Network, _check_element, _components,
+    check_grid, check_ring_size, ring_network,
 )
 
 # Two detected frequencies within this relative distance are one resonance.

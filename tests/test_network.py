@@ -25,7 +25,7 @@ from impnet import (
     serialize_netlist,
 )
 from impnet.cli import main
-from impnet.network import MAX_SIZE, check_grid, check_ring_size, make_element
+from impnet.network import KIND_CODES, MAX_SIZE, check_grid, check_ring_size, make_element
 from conftest import TRIANGLE_NETLIST, random_connected_network
 
 # ── elements ─────────────────────────────────────────────────────────────
@@ -596,6 +596,29 @@ def test_grid_network_toroidal_counts():
     inds = [b for b in net.branches if b.element.kind is ElementKind.INDUCTOR]
     assert len(caps) == 3 * 4
     assert len(inds) == 3 * 4
+
+
+def _grid_ends(m, n, wrap):
+    """The 0-based branch ends of grid_network, built by loops: capacitors
+    along x, then inductors along y, each kind's wrap branches last."""
+    caps = [(x * n + y, (x + 1) % m * n + y) for x in range(m - 1 + wrap) for y in range(n)]
+    inds = [(x * n + y, x * n + y + 1) for x in range(m) for y in range(n - 1)]
+    inds += [(x * n + n - 1, x * n) for x in range(m)] if wrap else []
+    return caps, inds
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_grid_network_branch_order(boundary):
+    wrap = boundary is Boundary.TOROIDAL
+    for m in (2, 3, 5, 6, 7, 9, 10):
+        for n in (2, 3, 5, 6, 7, 9, 10):
+            net = grid_network(m, n, 1.5, 0.25, boundary)
+            caps, inds = _grid_ends(m, n, wrap)
+            assert [tuple(e) for e in net.ends.tolist()] == caps + inds
+            assert net.kinds.tolist() == (
+                [KIND_CODES[ElementKind.CAPACITOR]] * len(caps)
+                + [KIND_CODES[ElementKind.INDUCTOR]] * len(inds))
+            assert net.values.tolist() == [0.25] * len(caps) + [1.5] * len(inds)
 
 
 def test_grid_network_validation():

@@ -515,13 +515,11 @@ def test_sweep_validation():
 
 # ── the float range ──────────────────────────────────────────────────────
 
-FAILING_EIGH = "NET 3\nL 1 2 1e-300\nC 1 3 2.5e-308\nL 3 2 4e+307\nC 2 1 4e+307\n"
-
-
 def test_failed_pencil_eigensolve_is_convergence_error(monkeypatch):
-    # Balancing underflows the tiny capacitor and inductance, so a0 + a2 is
-    # not numerically positive definite and eigh fails.
-    net = parse_netlist(FAILING_EIGH)
+    # Balancing underflows the two branches at node 3 (2.5e-308 F and
+    # 1/4e307 per H), so a0 + a2 is not positive definite and eigh fails.
+    net = parse_netlist(
+        "NET 3\nL 1 2 1e-300\nC 1 3 2.5e-308\nL 3 2 4e+307\nC 2 1 4e+307\n")
     with pytest.raises(ConvergenceError, match="pencil eigensolve failed"):
         find_resonances(net, 0.1, 10.0)
 
