@@ -12,9 +12,12 @@ difference), and any further zero mode marks an LC resonance where the
 impedance diverges with strength ||P0 (e_p - e_q)||^2, the squared norm of
 the projection of e_p - e_q onto the zero space: the sum of |u_ap - u_aq|^2
 over the zero columns, which does not depend on the basis a degenerate
-resonance leaves free.  The sums read only rows p and q of the u_a, so
-both a single query and the all-pairs table take the rows they read from
-takagi_rows: two for a pair, all n for the table.  They factor L in
+resonance leaves free.  The sum is d^T L^+ d with d = e_p - e_q, so a query
+may read it from any factorization L r_a = lambda_a conj(l_a) with r and l
+orthonormal, as sum_a (r_ap - r_aq)(l_ap - l_aq) / lambda_a; the u_a are
+the case r = l = u.  It reads only rows p and q, so both a single query
+and the all-pairs table take the rows they read from takagi_rows: two for
+a pair, all n for the table.  They factor L in
 node_system's unit of 2^e siemens, which owns the scaling: lambda and the
 mode sums stay in it, and to_float_range takes each impedance back to ohm.
 """
@@ -127,7 +130,8 @@ class _Spectrum(NamedTuple):
     """Node-pair-independent part of an impedance query: the rows read,
     split into the retained (nonzero) modes and the zero ones."""
 
-    live: np.ndarray  # rows of the retained modes, one per node read
+    live: np.ndarray  # rows r of the retained modes, one per node read
+    live_left: np.ndarray  # their rows l
     inv_lam: np.ndarray  # their 1 / lambda in units of 2^-e ohm
     e: int  # node_system's unit exponent
     zero: np.ndarray  # rows of the zero modes
@@ -141,11 +145,11 @@ def _spectrum(dec: TakagiRows, scale: float, e: int) -> _Spectrum:
     retained = np.ones(dec.lam.size, dtype=bool)
     retained[list(cls.zero_indices)] = False
     mags = np.abs(dec.lam)
-    # ascending: the trivial mode and a frame's redundant columns come first
-    others = mags[mags.size - dec.order + 1:]
-    min_abs = float(others[0]) if others.size else 0.0
+    # ascending: the trivial mode comes first
+    min_abs = float(mags[1]) if mags.size > 1 else 0.0
     return _Spectrum(
         dec.rows[:, retained],
+        dec.left_rows[:, retained],
         1.0 / dec.lam[retained],
         e,
         dec.rows[:, ~retained],
@@ -157,11 +161,11 @@ def _spectrum(dec: TakagiRows, scale: float, e: int) -> _Spectrum:
 
 def _mode_sums(spec: _Spectrum, i: int, j) -> tuple[np.ndarray, np.ndarray]:
     """Between row i and the row or rows j of the rows read: the sums of
-    (u_i - u_j)^2 / lambda over the retained modes, in ohm (to_float_range),
-    and of |u_i - u_j|^2 over the zero ones."""
-    live = spec.live[i] - spec.live[j]
+    (r_i - r_j)(l_i - l_j) / lambda over the retained modes, in ohm
+    (to_float_range), and of |r_i - r_j|^2 over the zero ones."""
+    live = (spec.live[i] - spec.live[j]) * (spec.live_left[i] - spec.live_left[j])
     zero = spec.zero[i] - spec.zero[j]
-    value = to_float_range(np.array(live ** 2 @ spec.inv_lam), spec.e, "the impedance")
+    value = to_float_range(np.array(live @ spec.inv_lam), spec.e, "the impedance")
     return value, np.sum(np.abs(zero) ** 2, axis=-1)
 
 

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .errors import ConvergenceError, NearSingularError, ValidationError
+from .errors import NearSingularError, ValidationError
 from .impedance import ImpedanceStatus, two_point_impedance
 from .laplacian import (
     SINGULAR_REL_TOL, assemble_laplacian, check_angular_frequency, check_band,
@@ -39,6 +39,7 @@ from .network import (
     KIND_CODES, Boundary, ElementKind, Network, _check_element, _components,
     check_grid, check_ring_size, ring_network,
 )
+from .takagi import _eigensolve
 
 # Two detected frequencies within this relative distance are one resonance.
 MERGE_REL_TOL = 1e-9
@@ -308,7 +309,8 @@ def _pencil_roots(
     a2, a0 = pencil.c[grounded], pencil.g[grounded]
     m = a0.shape[0]
     if not pencil.y.any():
-        x = _eigensolve(scipy.linalg.eigh, a0, a0 + a2, check_finite=False)[1]
+        x = _eigensolve("pencil eigensolve", scipy.linalg.eigh, a0, a0 + a2,
+                        check_finite=False)[1]
         x = x[:, _groups(pencil.g) - 1:m + 1 - _groups(pencil.c)]
         z = np.insert(x, ground, 0.0, axis=0)
         with np.errstate(all="ignore"):  # non-finite roots fail the range test
@@ -320,7 +322,7 @@ def _pencil_roots(
             a1 = a1.real
         eye, zero = np.eye(m), np.zeros((m, m))
         (alpha, beta), v = _eigensolve(
-            scipy.linalg.eig,
+            "pencil eigensolve", scipy.linalg.eig,
             np.block([[-a1, -a0], [eye, zero]]), np.block([[a2, zero], [zero, eye]]),
             right=True, overwrite_a=True, overwrite_b=True, check_finite=False,
             homogeneous_eigvals=True,
@@ -334,16 +336,6 @@ def _pencil_roots(
     keep = (omegas >= lo) & (omegas <= hi)
     order = np.argsort(omegas[keep], kind="stable")
     return omegas[keep][order], z[:, keep][:, order]
-
-
-def _eigensolve(solve, *args, **kwargs):
-    """solve(*args, **kwargs), a scipy eigensolve, whose LinAlgError (a
-    balanced a0 + a2 that is not numerically definite, or no convergence)
-    is raised as ConvergenceError."""
-    try:
-        return solve(*args, **kwargs)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"pencil eigensolve failed: {exc}") from None
 
 
 def _groups(part: np.ndarray) -> int:
@@ -371,7 +363,9 @@ def _certify(
     Column i of z goes with omegas[i].  Returns ||L z|| / ||z|| in siemens
     and whether it certifies the verdict of two_point_impedance; a term or
     a residual that leaves the float range (NaN or inf, under the caller's
-    errstate) certifies nothing.
+    errstate) certifies nothing, and neither does an admittance scale that
+    leaves it in siemens: two_point_impedance rejects such an omega as
+    input error, since a branch admittance or the scale is not finite.
 
     Derivation.  L = L(omega) is the Laplacian of the merged branch
     admittances that the parts hold off the diagonal; assemble_laplacian's
@@ -435,7 +429,8 @@ def _certify(
     rho, alpha, nu = (np.hypot.reduce(np.abs(v), axis=0) for v in (defect, bound, az))
     allowance = (2.0 * _gamma(r + 3) + _gamma(r - 1)) * alpha
     residuals = np.ldexp(rho / nu, -(k + d))
-    certified = np.isfinite(scale) & np.isfinite(residuals) & (
+    siemens = np.ldexp(scale, -(k + d))
+    certified = np.isfinite(siemens) & np.isfinite(residuals) & (
         (rho + allowance) * (1.0 + _gamma(4 * n + 3 * r))
         <= SINGULAR_REL_TOL * scale * nu
     )

@@ -466,13 +466,27 @@ def test_resonances_of_network_that_cannot_resonate(capsys, tmp_path, netlist):
     assert capsys.readouterr().out == "no resonances detected in range\ndistinct resonances: 0\n"
 
 
-def test_resonances_failed_eigensolve_is_input_error(capsys, tmp_path):
+def test_resonances_failed_eigensolve_is_input_error(monkeypatch, capsys, tmp_path):
     p = tmp_path / "c.net"
     p.write_text("NET 3\nL 1 2 1e-300\nC 1 3 2.5e-308\nL 3 2 4e+307\nC 2 1 4e+307\n")
     assert main(["resonances", str(p), "--omega-lo", "0.1", "--omega-hi", "10"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("impnet: error: pencil eigensolve failed: ")
+    # the impedance query's eigh (an LC network) or SVD (an RL network)
+    # goes through the same mapper
+    for solver, netlist in (("eigh", LC_NETLIST), ("svd", "NET 2\nL 1 2 1\nR 1 2 1\n")):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError(f"{solver} did not converge")
+
+        monkeypatch.setattr(np.linalg, solver, fail)
+        p.write_text(netlist)
+        assert main(["impedance", str(p), "--omega", "2", "--pair", "1", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"impnet: error: Takagi factorization failed: {solver} did not converge\n")
+        monkeypatch.undo()
 
 
 def test_resonances_json_never_prints_non_finite(capsys, tmp_path):

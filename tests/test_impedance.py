@@ -122,27 +122,40 @@ def test_resistor_triangle_inequality():
 
 def test_gauge_invariance_of_mode_sum():
     # Re-gauging every mode u -> u e^{i phi} carries lam -> lam e^{2 i phi},
-    # so the summand (u_p - u_q)^2 / lam is unchanged mode by mode.
+    # so the summand (u_p - u_q)^2 / lam is unchanged mode by mode.  The
+    # paper's sum over the modes of takagi_decompose is then compared with
+    # the query, which reads another factorization: eigh of M, or the SVD,
+    # whose vectors mix the degenerate pairs of a uniform-Z ring.
     rng = np.random.default_rng(402)
-    for _ in range(10):
-        net = random_connected_network(rng, 4, 9)
-        omega = float(10.0 ** rng.uniform(-1, 1))
-        lap = assemble_laplacian(net, omega)
-        dec = takagi_decompose(lap)
-        phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=dec.order))
+    cases = [
+        (random_connected_network(rng, 4, 9), float(10.0 ** rng.uniform(-1, 1)))
+        for _ in range(10)
+    ]
+    cases += [(ring_network(n, [Element.impedance(0.3 + 2j)] * n), 0.9)
+              for n in (5, 8, 12, 30)]
+    cases += [
+        (random_connected_network(rng, n, n), float(10.0 ** rng.uniform(-1, 1)))
+        for n in (60, 120)
+    ]
+    for net, omega in cases:
+        n = net.node_count
+        dec = takagi_decompose(assemble_laplacian(net, omega))
+        cls = classify_zero_modes(dec, admittance_scale(net, omega))
+        keep = np.ones(n, dtype=bool)
+        keep[list(cls.zero_indices)] = False
+        phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=n))
         u2 = dec.u * phases
         lam2 = dec.lam * phases**2
-        threshold = 1e-10 * float(dec.sigma[-1])
-        keep = dec.sigma > threshold
-        p, q = 0, net.node_count - 1
-        diffs = dec.u[p, :] - dec.u[q, :]
-        diffs2 = u2[p, :] - u2[q, :]
-        z = complex(np.sum(diffs[keep] ** 2 / dec.lam[keep]))
-        z2 = complex(np.sum(diffs2[keep] ** 2 / lam2[keep]))
-        assert abs(z - z2) <= 1e-12 * max(abs(z), 1.0)
-        want = two_point_impedance(net, omega, p + 1, q + 1)
-        if want.status is ImpedanceStatus.FINITE:
-            assert abs(z2 - want.value) <= 1e-10 * max(abs(want.value), 1.0)
+        for p, q in ((0, n - 1), (0, n // 2)):
+            diffs = dec.u[p, :] - dec.u[q, :]
+            diffs2 = u2[p, :] - u2[q, :]
+            z = complex(np.sum(diffs[keep] ** 2 / dec.lam[keep]))
+            z2 = complex(np.sum(diffs2[keep] ** 2 / lam2[keep]))
+            assert abs(z - z2) <= 1e-12 * max(abs(z), 1.0), (n, p, q)
+            want = two_point_impedance(net, omega, p + 1, q + 1)
+            if want.status is ImpedanceStatus.FINITE:
+                bound = 1e-10 * max(abs(want.value), 1.0)
+                assert abs(z2 - want.value) <= bound, (n, p, q)
 
 
 def _scaled(net, k):
@@ -326,49 +339,39 @@ def test_matrix_on_random_network():
 
 
 def _count_factorization_calls(monkeypatch):
-    """Record takagi_decompose calls, the column count of every _apply_q
-    call, every takagi_rows result, every SVD, every tridiagonal eigensolve
-    and every residual computed from one."""
+    """Record takagi_decompose calls, every takagi_rows result, the input
+    of every numpy eigh and SVD, and every residual computed."""
     # no query path may reach the full factorization by its own binding
     assert not hasattr(impedance, "takagi_decompose")
-    calls = {"decompose": [], "columns": [], "rows": [], "svd": [],
-             "eig": [], "residual": []}
-    decompose, apply_q, rows = (
-        takagi.takagi_decompose, takagi._apply_q, takagi.takagi_rows
+    calls = {"decompose": [], "rows": [], "eigh": [], "svd": [], "residual": []}
+    decompose, rows, residual = (
+        takagi.takagi_decompose, takagi.takagi_rows, takagi._residual
     )
-    eig, residual = takagi._tridiagonal_eig, takagi._tridiagonal_residual
-    svd = np.linalg.svd
+    eigh, svd = np.linalg.eigh, np.linalg.svd
 
     def counting_decompose(*args):
         calls["decompose"].append(args)
         return decompose(*args)
 
-    def counting_apply_q(t, c):
-        calls["columns"].append(c.shape[1])
-        return apply_q(t, c)
-
     def recording_rows(*args):
         calls["rows"].append(rows(*args))
         return calls["rows"][-1]
 
-    def counting_svd(*args, **kwargs):
-        calls["svd"].append(args)
-        return svd(*args, **kwargs)
-
-    def recording_eig(*args):
-        calls["eig"].append(eig(*args))
-        return calls["eig"][-1]
+    def recording(name, solve):
+        def wrapper(a, *args, **kwargs):
+            calls[name].append(np.array(a))
+            return solve(a, *args, **kwargs)
+        return wrapper
 
     def counting_residual(*args):
         calls["residual"].append(args)
         return residual(*args)
 
     monkeypatch.setattr(takagi, "takagi_decompose", counting_decompose)
-    monkeypatch.setattr(takagi, "_tridiagonal_eig", recording_eig)
-    monkeypatch.setattr(takagi, "_tridiagonal_residual", counting_residual)
+    monkeypatch.setattr(takagi, "_residual", counting_residual)
     monkeypatch.setattr(impedance, "takagi_rows", recording_rows)
-    monkeypatch.setattr(takagi, "_apply_q", counting_apply_q)
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "eigh", recording("eigh", eigh))
+    monkeypatch.setattr(np.linalg, "svd", recording("svd", svd))
     return calls
 
 
@@ -377,13 +380,13 @@ def _count_factorization_calls(monkeypatch):
 )
 def test_pair_query_back_transforms_two_rows(monkeypatch, case):
     # Deterministic guard on the cost of a pair query: no full
-    # decomposition, Q^T applied once to the selector columns, and no SVD,
-    # also at a resonance.  An LC grid (L = jB) and a resistor network (L
-    # real) take the n x n real eigensolve: three columns (e_p, e_q and the
-    # ones vector) and n modes.  A network with both resistive and reactive
-    # parts takes the 2n x 2n embedding: six columns, and n + k modes that
-    # read the zero space through the tight frame of its 2k pair vectors.
-    # No residual is computed until it is read.  A count, not a timing.
+    # decomposition, one factorization of order n of node_system's L as it
+    # comes, and rows p and q read from it, also at a resonance.  An LC
+    # grid (L = jB) and a resistor network (L real) take numpy's eigh of
+    # the real n x n M; a network with both resistive and reactive parts
+    # takes one complex SVD of L.  No matrix of order 2n is built, every
+    # route has n columns, and no residual is computed until it is read.
+    # A count, not a timing.
     if case == "rlcz120":
         net = random_connected_network(np.random.default_rng(120), 120, 120)
         omega = 1.3
@@ -395,49 +398,52 @@ def test_pair_query_back_transforms_two_rows(monkeypatch, case):
     else:
         net = grid_network(10, 10, 1.0, 1.0)
         omega = 1.0 if case.endswith("resonant") else 0.7
+    n = net.node_count
+    lap, _, _ = laplacian.node_system(net, omega)
     calls = _count_factorization_calls(monkeypatch)
-    r = two_point_impedance(net, omega, 1, net.node_count)
+    r = two_point_impedance(net, omega, 1, n)
     assert calls["decompose"] == []
-    assert calls["svd"] == []
     assert calls["residual"] == []
-    (dec,) = calls["rows"]
-    zeros = np.count_nonzero(dec.lam == 0.0)
     if case == "rlcz120":
-        assert calls["columns"] == [6]
-        assert zeros == 2 * (dec.lam.size - dec.order)
+        assert calls["eigh"] == []
+        (a,) = calls["svd"]
+        assert np.array_equal(a, lap)
     else:
-        assert calls["columns"] == [3]
-        assert dec.lam.size == dec.order
-        assert zeros == r.resonant_mode_count + 1
+        assert calls["svd"] == []
+        (a,) = calls["eigh"]
+        assert np.array_equal(a, lap.real if case == "res30" else lap.imag)
+    (dec,) = calls["rows"]
+    assert dec.rows.shape == dec.left_rows.shape == (2, n)
+    assert dec.lam.size == dec.col_sums.size == n
+    assert np.count_nonzero(dec.lam == 0.0) == r.resonant_mode_count + 1
     if case.endswith("resonant"):
         assert r.status is ImpedanceStatus.RESONANT and r.resonant_mode_count > 2
-    # read now, the residual is that of T z = w z over the columns read:
-    # all n for M, the last n + k for H
-    (t,) = calls["eig"]
-    first = t.w.size - dec.lam.size
-    want = takagi._tridiagonal_residual(t._replace(w=t.w[first:], z=t.z[:, first:]))
-    assert dec.residual == want
-    # in the unit of the L the query factored, 2^e S
-    lap, _, _ = laplacian.node_system(net, omega)
-    assert dec.residual <= 1e-14 * np.linalg.norm(lap, 2)
+    # read now, the residual is that of L r_a = lam_a conj(l_a) over all n
+    # columns, in the unit of the L the query factored, 2^e S
+    residual = dec.residual
+    assert len(calls["residual"]) == 1
+    full = takagi.takagi_rows(lap, range(n))
+    assert np.array_equal(full.rows[[0, n - 1]], dec.rows)
+    defect = lap @ full.rows - full.left_rows.conj() * full.lam
+    assert residual == pytest.approx(np.linalg.norm(defect, axis=0).max(), rel=1e-12)
+    assert residual <= 1e-14 * np.linalg.norm(lap, 2)
 
 
 @pytest.mark.parametrize("omega", [0.7, 1.0])
 def test_table_reads_rows_in_one_back_transform(monkeypatch, omega):
     # The all-pairs table takes the route of a pair query with all n rows:
-    # no full decomposition, Q^T applied once to the n + 1 selector columns
-    # of the LC grid's n x n eigensolve, and no SVD, off and at the free
-    # 10x10 grid's resonance.
+    # no full decomposition, one eigh of the LC grid's n x n M and no SVD,
+    # off and at the free 10x10 grid's resonance.
     net = grid_network(10, 10, 1.0, 1.0)
     n = net.node_count
     calls = _count_factorization_calls(monkeypatch)
     table = impedance_matrix(net, omega)
     assert calls["decompose"] == []
-    assert calls["columns"] == [n + 1]
+    assert [a.shape for a in calls["eigh"]] == [(n, n)]
     assert calls["svd"] == []
     assert calls["residual"] == []
     (dec,) = calls["rows"]
-    assert dec.rows.shape == (n, n)
+    assert dec.rows.shape == dec.left_rows.shape == (n, n)
     assert table.value.shape == (n, n)
     want = ImpedanceStatus.RESONANT if omega == 1.0 else ImpedanceStatus.FINITE
     assert table.status is want
@@ -446,16 +452,17 @@ def test_table_reads_rows_in_one_back_transform(monkeypatch, omega):
 @pytest.mark.parametrize("case", ["rlcz120", "grid15x15"])
 def test_pair_query_memory_peak(case):
     # A count, not a timing: the tracemalloc peak of one pair query, after
-    # a warm-up call, in doubles.  An RLCZ network takes the order-N = 2n
-    # embedding H, the free grid the order-N = n real M.  The arrays of
-    # order N^2 alive at the peak are at most the complex n x n Laplacian
-    # (2 n^2), M or H (N^2), dstevd's z (N^2) and workspace (1 + 4N + N^2)
-    # and the reflector copy ((N - 1)^2).  The workspace is freed before the
-    # copy is made, so the sum leaves one N^2 of room for the O(N) vectors
-    # (d, e, w, tau, the selector columns, dstevd's iwork) and for the
-    # O(n) rows read.  A further N^2 array at the peak (a second M, H or
-    # z) exceeds it, as did the residual's N x (n + k) temporaries when
-    # every query computed them.
+    # a warm-up call, in doubles.  The arrays of order n^2 alive at the
+    # peak are the complex n x n Laplacian (2 n^2) and the factors numpy
+    # returns: for the RLCZ network the SVD's complex U and V^H (4 n^2),
+    # 6 n^2 in all; for the free grid eigh's real eigenvectors (n^2) and
+    # their copy sorted by |mu| (n^2), 4 n^2 in all.  LAPACK's workspace
+    # and numpy's copy of the input are allocated outside the tracer's
+    # view.  The bound of 6 n^2 leaves the grid room for less than one
+    # further complex n x n array, such as the residual's temporaries if
+    # every query computed them; that of 18 n^2 leaves the RLCZ network
+    # room for less than an eigensolve of the 2n x 2n embedding H (H and
+    # its eigenvectors, 16 n^2).
     if case == "rlcz120":
         net = random_connected_network(np.random.default_rng(120), 120, 120)
         omega = 1.3
@@ -463,8 +470,7 @@ def test_pair_query_memory_peak(case):
         net = grid_network(15, 15, 1.0, 1.0)
         omega = 0.7
     n = net.node_count
-    order = 2 * n if case == "rlcz120" else n
-    bound = 2 * n * n + 2 * order**2 + (1 + 4 * order + order**2) + (order - 1) ** 2
+    bound = (18 if case == "rlcz120" else 6) * n * n
     two_point_impedance(net, omega, 1, n)
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -477,7 +483,7 @@ def test_pair_query_memory_peak(case):
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= 8 * bound, f"peak {peak / 8 / order**2:.2f} N^2 doubles"
+    assert peak <= 8 * bound, f"peak {peak / 8 / n**2:.2f} n^2 doubles"
 
 
 @pytest.mark.parametrize("p, q", [(10, 11), (1, 2)])
@@ -519,16 +525,16 @@ def _grid_omegas(m, boundary):
     return [w * (1.0 + d) for w in omegas for d in (0.0, 1e-6, -1e-6)]
 
 
-def test_rotated_network_takes_the_embedding_with_the_same_answers():
+def test_rotated_network_takes_the_svd_with_the_same_answers():
     # An LC grid or a resistor network (L = jB or L real) takes the n x n
-    # real eigensolve; the same network rotated to e^{0.3 i} L takes the
-    # 2n x 2n embedding.  The rotation scales every Z by e^{-0.3 i} and
-    # changes nothing else, so the two routes must give the same verdicts
-    # and values with no switch between them.  The values are compared on
-    # the scale of the eigensolves' backward error: just off a resonance a
-    # mode with |lambda| ~ 1e-6 max|lambda| amplifies it, and the two routes
-    # differed by up to 4.2e-9 of sum |u_p - u_q|^2 / |lambda| but only
-    # 4.7e-16 of that sum weighted by max|lambda| / |lambda|.
+    # real eigh; the same network rotated to e^{0.3 i} L takes the complex
+    # SVD.  The rotation scales every Z by e^{-0.3 i} and changes nothing
+    # else, so the two routes must give the same verdicts and values with
+    # no switch between them.  The values are compared on the scale of the
+    # factorizations' backward error: just off a resonance a mode with
+    # |lambda| ~ 1e-6 max|lambda| amplifies it, and the two routes differed
+    # by up to 4.2e-9 of sum |u_p - u_q|^2 / |lambda| but only 4.7e-16 of
+    # that sum weighted by max|lambda| / |lambda|.
     rng = np.random.default_rng(7)
     cases = [
         (grid_network(8, 8, 1.0, 1.0), _grid_omegas(8, Boundary.FREE)),
@@ -544,8 +550,8 @@ def test_rotated_network_takes_the_embedding_with_the_same_answers():
         pairs = [(1, n), (1, 2), (2, n // 2 + 1)]
         for omega in omegas:
             rot = _rotated(net, omega)
-            assert takagi.takagi_rows(assemble_laplacian(net, omega), [0]).lam.size == n
-            assert takagi.takagi_rows(assemble_laplacian(rot, omega), [0]).lam.size > n
+            assert takagi._real_form(assemble_laplacian(net, omega)) is not None
+            assert takagi._real_form(assemble_laplacian(rot, omega)) is None
             terms = _mode_terms(net, omega, conditioned=True)
             for p, q in pairs:
                 r = two_point_impedance(net, omega, p, q)

@@ -532,6 +532,13 @@ def test_failed_pencil_eigensolve_is_convergence_error(monkeypatch):
                       Branch(1, 2, Element.resistor(1.0))))
     with pytest.raises(ConvergenceError, match="did not converge"):
         find_resonances(net, 0.5, 2.0)
+    # the same mapper serves the impedance query's eigh (an LC network)
+    # and its SVD (an RLC network)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    for case in (lc_parallel(1.0, 1.0), net):
+        with pytest.raises(ConvergenceError, match="factorization failed: eig algorithm"):
+            two_point_impedance(case, 2.0, 1, 2)
 
 
 def test_underflowing_branch_energy_warns_nothing():

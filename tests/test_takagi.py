@@ -15,6 +15,7 @@ from impnet import (
     admittance_scale,
     assemble_laplacian,
     classify_zero_modes,
+    grid_network,
     ring_network,
     takagi_decompose,
 )
@@ -104,8 +105,8 @@ def test_defining_relation_random_matrices():
 
 @pytest.mark.parametrize("value", [2.0, -2.0, 2j, 2.0 + 1j])
 def test_one_by_one_matrix(value):
-    # LAPACK's dstevd wants order 2 or more, so a 1x1 matrix takes the
-    # embedding whatever its phase.
+    # A real or imaginary 1x1 matrix takes the real eigensolve, any other
+    # the 2 x 2 embedding.
     l = np.array([[value]], dtype=complex)
     dec = takagi_decompose(l)
     assert abs(dec.lam[0]) == pytest.approx(abs(value), rel=1e-15)
@@ -309,3 +310,12 @@ def test_classify_no_zero_modes_at_all():
     dec = takagi_decompose(np.diag([1.0, 2.0]).astype(complex))
     with pytest.raises(NoTrivialZeroError):
         classify_zero_modes(dec, 2.0)
+
+
+@pytest.mark.parametrize("scale", [math.inf, -1.0, math.nan, "abc", None, True])
+def test_classify_rejects_a_scale_that_is_not_positive_and_finite(scale):
+    # inf would call every mode of a non-resonant grid a zero mode, and
+    # -1 or nan would report a missing trivial mode
+    dec = takagi_decompose(assemble_laplacian(grid_network(3, 3, 1.0, 1.0), 0.7))
+    with pytest.raises(ValidationError, match="scale must be a positive finite"):
+        classify_zero_modes(dec, scale)
