@@ -5,14 +5,12 @@ circuit, factorizes it as L u = lam conj(u) with orthonormal modes, and
 sums mode contributions to obtain the impedance between any node pair.
 Vanishing factorization values mark resonances.  An independent direct
 linear solve of the node equations serves as a cross-check throughout.
+Only ``direct`` and ``resonance`` need scipy; each is imported on first
+access to one of its names (PEP 562): an impedance query loads numpy only.
 """
 
-from .direct import (
-    SingularSystem,
-    check_current_conservation,
-    solve_direct,
-    solve_node_potentials,
-)
+import importlib
+
 from .errors import (
     ConvergenceError,
     DisconnectedError,
@@ -49,15 +47,6 @@ from .network import (
     ring_network,
     serialize_netlist,
 )
-from .resonance import (
-    DetectionMethod,
-    ResonanceReport,
-    RingReactanceCheck,
-    eigenvalue_product_identity_check,
-    find_resonances,
-    grid_resonances_analytic,
-    ring_reactance_resonance_check,
-)
 from .takagi import (
     TakagiDecomposition,
     ZeroModeClassification,
@@ -66,6 +55,23 @@ from .takagi import (
 )
 
 __version__ = "0.1.0"
+
+_LAZY = dict.fromkeys(("SingularSystem", "check_current_conservation", "solve_direct",
+                       "solve_node_potentials"), "direct") | dict.fromkeys((
+    "DetectionMethod", "ResonanceReport", "RingReactanceCheck",
+    "eigenvalue_product_identity_check", "find_resonances", "grid_resonances_analytic",
+    "ring_reactance_resonance_check"), "resonance")
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "Boundary",

@@ -15,7 +15,8 @@ query, 3 cross-check failure.  All numeric output uses repr-style shortest
 round-trip formatting with '.' as the decimal separator, so repeated runs
 are byte identical.  main(argv) may be called repeatedly in one process: it
 builds its parser on the first call and reuses it, which a shell-run impnet,
-one command per process, does not notice.
+one command per process, does not notice.  Only check and resonances import
+scipy, on first use; the other commands load numpy only.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import json
 import math
 import sys
 
-from .direct import SingularSystem, solve_direct
 from .errors import ImpnetError, ValidationError
 from .impedance import (
     NEAR_RESONANCE_REL, ImpedanceResult, ImpedanceStatus, impedance_matrix,
@@ -38,7 +38,6 @@ from .network import (
     MAX_SIZE, Boundary, Element, ElementKind, Network, check_pair, check_ring_size,
     grid_network, make_element, parse_netlist, ring_network, serialize_netlist,
 )
-from .resonance import find_resonances
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -255,6 +254,8 @@ def _cmd_sweep(args) -> int:
 # ── resonances ───────────────────────────────────────────────────────────
 
 def _cmd_resonances(args) -> int:
+    from .resonance import find_resonances
+
     net = _load_network(args.netlist)
     report = find_resonances(net, args.omega_lo, args.omega_hi)
     if args.format == "json":
@@ -333,6 +334,8 @@ def _generated_network(args) -> Network:
 # ── check ────────────────────────────────────────────────────────────────
 
 def _cmd_check(args) -> int:
+    from .direct import SingularSystem, solve_direct
+
     net = _load_network(args.netlist)
     omega = args.omega
     if args.pair is not None:

@@ -646,6 +646,35 @@ def test_generate_grid_beyond_memory_fails_at_once():
     assert max_rss_kib < 512 << 10
 
 
+def test_only_check_and_resonances_load_scipy(ring_llc_path):
+    # A fresh process: impedance, sweep and generate run on numpy alone;
+    # check and resonances then import scipy on first use.
+    child = (
+        "import contextlib, io, json, sys\n"
+        "import impnet\n"
+        "import impnet.cli\n"
+        "net = sys.argv[1]\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        return impnet.cli.main(list(argv)), 'scipy' in sys.modules\n"
+        "print(json.dumps([\n"
+        "    run('impedance', net, '--pair', '1', '2', '--omega', '0.5'),\n"
+        "    run('sweep', net, '--pair', '1', '3', '--omega-lo', '0.1',\n"
+        "        '--omega-hi', '10', '--points', '5'),\n"
+        "    run('generate', '--ring', '4', '--elements', 'L:1,C:1,R:1,L:2'),\n"
+        "    run('check', net, '--omega', '0.5'),\n"
+        "    run('resonances', net, '--omega-lo', '0.1', '--omega-hi', '10'),\n"
+        "]))\n"
+    )
+    src = str(Path(impnet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", child, ring_llc_path], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == [
+        [0, False], [0, False], [0, False], [0, True], [0, True]]
+
+
 def test_generate_kind_letter_is_case_insensitive(capsys):
     assert main(["generate", "--ring", "3", "--elements", "l:1,L:1,c:1"]) == 0
     net = parse_netlist(capsys.readouterr().out)
@@ -741,8 +770,9 @@ def test_check_and_impedance_with_moduli_past_float_range(capsys, tmp_path):
 def test_check_exit_3_on_verdict_mismatch(capsys, monkeypatch, triangle_path):
     # A direct route that calls every pair singular disagrees with the
     # finite spectral verdicts on the triangle: exit 3.
+    # _cmd_check imports solve_direct when called, so patch its home module.
     monkeypatch.setattr(
-        "impnet.cli.solve_direct",
+        "impnet.direct.solve_direct",
         lambda net, omega, p, q: SingularSystem(ground=q, pivot_min=0.0, scale=1.0),
     )
     code = main(["check", triangle_path, "--omega", "1.0"])
