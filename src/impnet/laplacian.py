@@ -129,11 +129,10 @@ def laplacian_parts(net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ys = branch_admittances(net, 1.0)
     cap = net.kinds == KIND_CODES[ElementKind.CAPACITOR]
     ind = net.kinds == KIND_CODES[ElementKind.INDUCTOR]
-    return (
-        _stamp(net, np.where(cap, ys.imag, 0.0)),
-        _stamp(net, np.where(cap | ind, 0.0, ys)),
-        _stamp(net, np.where(ind, -ys.imag, 0.0)),  # 1/(j L) = -j/L
-    )
+    c = _stamp(net, np.where(cap, ys.imag, 0.0))
+    rz = ~(cap | ind)
+    y = _stamp(net, np.where(rz, ys, 0.0)) if rz.any() else np.zeros_like(c, complex)
+    return c, y, _stamp(net, np.where(ind, -ys.imag, 0.0))  # 1/(j L) = -j/L
 
 
 def admittance_scale(net: Network, omega: float) -> float:

@@ -197,10 +197,9 @@ def find_resonances(
     with |Y| when C or Gamma is zero) balances the pencil, and a factor 2^d
     brings its largest coefficient to order one, so the roots do not depend
     on the units or on the range.  One eigensolve of the pencil grounded at
-    one node gives every root and its eigenvector (see _pencil_roots): one
-    eigh of order n-1 for an LC network (Y = 0), each root from the branch
-    energies of its eigenvector, else one QZ of the 2(n-1) companion
-    linearization; roots in the range are merged within MERGE_REL_TOL.
+    one node gives every root and its eigenvector (see _pencil_roots, whose
+    route follows the element kinds, not a balanced Y that may flush to
+    zero); roots in the range are merged within MERGE_REL_TOL.
     A network with neither L nor C, or with no Z and no L or no C, cannot
     resonate, and the empty report comes before any eigensolve: its L(omega)
     is constant, G + j omega C or G + Gamma / (j omega) with G, C and Gamma
@@ -219,12 +218,11 @@ def find_resonances(
     """
     lo, hi = check_band(omega_lo, omega_hi)
     parts = laplacian_parts(net)
-    ind, cap, imp = (KIND_CODES[kind] in net.kinds for kind in (
-        ElementKind.INDUCTOR, ElementKind.CAPACITOR, ElementKind.IMPEDANCE))
+    res, ind, cap, imp = np.bincount(net.kinds, minlength=len(KIND_CODES)).tolist()
     if not (ind and cap or imp and (ind or cap)):
         return ResonanceReport((), (), DetectionMethod.PENCIL, 0, 0, 0)
     pencil = _balance(*parts)
-    omegas, z = _pencil_roots(pencil, lo, hi)
+    omegas, z = _pencil_roots(pencil, lo, hi, None if res or imp else net)
     merged = _merge_sorted(omegas.tolist())
     first = np.searchsorted(omegas, merged)  # the first root of each cluster
     with np.errstate(all="ignore"):  # a term past the float range certifies nothing
@@ -252,7 +250,8 @@ class _Pencil(NamedTuple):
 
     c, y and g are the node-basis parts 2^(2k+d) C, 2^(k+d) Y and 2^d Gamma,
     so that 2^(k+d) L(2^k tau) = j tau c + y + g / (j tau) and the pencil in
-    t is t^2 c + t y + g.
+    t is t^2 c + t y + g.  y is zero for an LC network and may flush to zero
+    for others, so it does not choose the route of _pencil_roots.
     """
 
     c: np.ndarray
@@ -282,7 +281,7 @@ def _balance(c: np.ndarray, y: np.ndarray, g: np.ndarray) -> _Pencil:
 
 
 def _pencil_roots(
-    pencil: _Pencil, lo: float, hi: float
+    pencil: _Pencil, lo: float, hi: float, lc: Network | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Roots omega of the pencil in [lo, hi], ascending, with eigenvectors.
 
@@ -291,14 +290,15 @@ def _pencil_roots(
     All (n-1) minors of a Laplacian are one cofactor, zero exactly when
     rank L <= n - 2, so the roots are the nontrivial ones of L, and each
     eigenvector x padded with a zero at g, the returned z, is a null vector
-    of L.  With no R or Z branch, y = 0 and t = j tau with a0 x = tau^2 a2 x:
-    one eigh solves a0 x = mu (a0 + a2) x, mu = tau^2 / (1 + tau^2), with
-    a0 + a2 a grounded connected Laplacian, positive definite.  Exactly
-    c_L - 1 of the mu are 0 and c_C - 1 are 1, c_L and c_C the node groups
-    that the inductors and the capacitors join; so many are dropped at each
-    end.  Each root is tau^2 = sum_b gamma_b dz_b^2 / sum_b c_b dz_b^2 over
-    the branches b, all terms positive.  Otherwise x is the bottom half of
-    the right eigenvector of the 2(n-1) companion linearization
+    of L.  lc, the network when all its branches are L or C, takes the eigh
+    route: y = 0 and t = j tau with a0 x = tau^2 a2 x, and one eigh solves
+    a0 x = mu (a0 + a2) x, mu = tau^2 / (1 + tau^2), with a0 + a2 a grounded
+    connected Laplacian, positive definite.  Exactly c_L - 1 of the mu are 0
+    and c_C - 1 are 1 (see _lc_groups); so many are dropped at each end.
+    Each root is tau^2 = sum_b gamma_b dz_b^2 / sum_b c_b dz_b^2 over the
+    branches b of lc, with its balanced 1/L and C: all terms positive.  With
+    lc None, x is the bottom half of the right eigenvector of the 2(n-1)
+    companion linearization
     [[-a1, -a0], [I, 0]] - t [[a2, 0], [0, I]], and roots with Im t > 0 and
     |Re t| <= sqrt(eps) |t| are kept.
     """
@@ -308,14 +308,18 @@ def _pencil_roots(
     grounded = np.ix_(kept, kept)
     a2, a0 = pencil.c[grounded], pencil.g[grounded]
     m = a0.shape[0]
-    if not pencil.y.any():
+    if lc is not None:
         x = _eigensolve("pencil eigensolve", scipy.linalg.eigh, a0, a0 + a2,
                         check_finite=False)[1]
-        x = x[:, _groups(pencil.g) - 1:m + 1 - _groups(pencil.c)]
-        z = np.insert(x, ground, 0.0, axis=0)
+        groups_l, groups_c = _lc_groups(lc, pencil)
+        z = np.insert(x[:, groups_l - 1:m + 1 - groups_c], ground, 0.0, axis=0)
+        square = (z[lc.ends[:, 0]] - z[lc.ends[:, 1]]) ** 2
+        # L or C: 1 / L and C are branch_admittances' |Im y| at omega = 1
+        ind, value = lc.kinds == KIND_CODES[ElementKind.INDUCTOR], lc.values.real
         with np.errstate(all="ignore"):  # non-finite roots fail the range test
-            omegas = np.ldexp(np.sqrt(_energy(pencil.g, z) / _energy(pencil.c, z)),
-                              pencil.k)
+            energy_g = np.ldexp(1.0 / value[ind], pencil.d) @ square[ind]
+            energy_c = np.ldexp(value[~ind], 2 * pencil.k + pencil.d) @ square[~ind]
+            omegas = np.ldexp(np.sqrt(energy_g / energy_c), pencil.k)
     else:
         a1 = pencil.y[grounded]
         if not a1.imag.any():  # real QZ unless fixed impedances make Y complex
@@ -338,15 +342,12 @@ def _pencil_roots(
     return omegas[keep][order], z[:, keep][:, order]
 
 
-def _groups(part: np.ndarray) -> int:
-    """Node groups that the branches of part join, lone nodes counted."""
-    return len(_components(len(part), np.argwhere(np.triu(part, 1)).ravel().tolist()))
-
-
-def _energy(part: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Per column of z, the sum of -part_ab (z_a - z_b)^2 over branches a-b."""
-    a, b = np.nonzero(np.triu(part, 1))
-    return -part[a, b] @ (z[a] - z[b]) ** 2
+def _lc_groups(net: Network, pencil: _Pencil) -> list[int]:
+    """c_L and c_C: the node groups (lone nodes counted) that the nonzero
+    merged entries of the balanced g and of c join, read at the branch ends."""
+    a, b = net.ends.T
+    return [len(_components(net.node_count, net.ends[part[a, b] != 0].ravel().tolist()))
+            for part in (pencil.g, pencil.c)]
 
 
 def _gamma(m: int) -> float:

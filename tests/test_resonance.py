@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -33,6 +34,7 @@ from impnet import (
 )
 from impnet import resonance
 from conftest import lc_parallel, random_connected_network
+from test_cli_robustness import _random_netlist
 
 # ── closed-form grid frequencies ─────────────────────────────────────────
 
@@ -176,7 +178,8 @@ def test_no_root_rule_hides_no_root(kinds):
             while len(set(net.kinds.tolist())) < len(kinds):  # each kind present
                 net = random_connected_network(rng, 5, 30, kinds, decades)
             pencil = resonance._balance(*laplacian_parts(net))
-            omegas, z = resonance._pencil_roots(pencil, 1e-12, 1e12)
+            omegas, z = resonance._pencil_roots(
+                pencil, 1e-12, 1e12, None if "R" in kinds else net)
             assert omegas.size == z.shape[1] == 0, (kinds, decades, net)
 
 
@@ -319,6 +322,44 @@ def test_pencil_matches_symmetric_definite_oracle():
         assert np.all(np.abs(np.array(rep.omegas) - want) <= 1e-10 * want)
 
 
+def _dense_groups(part):
+    """Components, lone nodes counted, of the graph of the nonzero entries
+    of part above its diagonal, by union-find."""
+    label = list(range(len(part)))
+
+    def root(i):
+        while label[i] != i:
+            i = label[i]
+        return i
+
+    for a, b in zip(*np.nonzero(np.triu(part, 1))):
+        label[root(a)] = root(b)
+    return len({root(i) for i in range(len(part))})
+
+
+def test_lc_groups_match_dense_components():
+    # The structural root counts read at the branch ends equal the
+    # components of the nonzero entries of the balanced g and c.
+    nets = [net for net, _, _ in _oracle_cases()]
+    nets.append(parse_netlist(
+        "NET 3\nL 1 2 1e-300\nC 1 3 2.5e-308\nL 3 2 4e+307\nC 2 1 4e+307\n"))
+    rng = random.Random("x")
+    nets += [parse_netlist(_random_netlist(rng)) for _ in range(3000)]
+    checked = 0
+    for net in nets:
+        try:
+            c, y, g = laplacian_parts(net)
+        except ValidationError:
+            continue
+        if not (c.any() or g.any()):  # _balance needs C or Gamma
+            continue
+        pencil = resonance._balance(c, y, g)
+        want = [_dense_groups(pencil.g), _dense_groups(pencil.c)]
+        assert resonance._lc_groups(net, pencil) == want, net
+        checked += 1
+    assert checked > 2000
+
+
 # ── exact root counts ────────────────────────────────────────────────────
 
 _EPS = Fraction(float(np.finfo(float).eps))
@@ -419,7 +460,7 @@ def test_certificate_refuses_detuned_roots():
     # own eigenvector, and refused by the same vector at omega (1 +- 1e-6).
     net = grid_network(8, 8, 1.0, 1.0)
     pencil = resonance._balance(*laplacian_parts(net))
-    omegas, z = resonance._pencil_roots(pencil, 0.1, 10.0)
+    omegas, z = resonance._pencil_roots(pencil, 0.1, 10.0, net)
     assert omegas.size >= 43
     assert resonance._certify(pencil, omegas, z)[1].all()
     for factor in (1.0 - 1e-6, 1.0 + 1e-6):
@@ -434,7 +475,7 @@ def test_certificate_centres_the_vectors_it_is_given():
     # does not certify roots detuned by 1e-9.
     net = grid_network(8, 8, 1.0, 1.0)
     pencil = resonance._balance(*laplacian_parts(net))
-    omegas, z = resonance._pencil_roots(pencil, 0.1, 10.0)
+    omegas, z = resonance._pencil_roots(pencil, 0.1, 10.0, net)
     assert omegas.size >= 43
     for factor in (1.0 - 1e-9, 1.0 + 1e-9):
         assert not resonance._certify(pencil, omegas * factor, z + 1e6)[1].any()
@@ -445,7 +486,7 @@ def test_lc_roots_keep_real_vectors():
     # which makes scipy return every eigenvector complex.
     net = grid_network(16, 16, 1.0, 1.0)
     pencil = resonance._balance(*laplacian_parts(net))
-    omegas, z = resonance._pencil_roots(pencil, 0.1, 10.0)
+    omegas, z = resonance._pencil_roots(pencil, 0.1, 10.0, net)
     assert omegas.size >= 211
     assert z.dtype == np.float64
 
@@ -539,6 +580,55 @@ def test_failed_pencil_eigensolve_is_convergence_error(monkeypatch):
     for case in (lc_parallel(1.0, 1.0), net):
         with pytest.raises(ConvergenceError, match="factorization failed: eig algorithm"):
             two_point_impedance(case, 2.0, 1, 2)
+
+
+# Valid netlists with R or Z branches from tests/test_cli_robustness.py's
+# generator (random.Random("x"), 3,000 draws) whose balanced Y part flushes
+# to zero: when that Y chose the route, they took the LC eigh, which failed.
+_FLUSHED_RZ = (
+    "NET 4\nL 1 2 1e-300\nC 2 3 1.7e+308\nZ 3 4 -1e+300 3.0\nC 1 4 5e-324\n",
+    "NET 5\nC 1 2 5e-324\nC 2 3 2.5e-308\nL 2 4 1.0\nC 4 5 1e+300\nZ 3 4 -1e+300 4e+307\n",
+    "NET 4\nC 1 2 0.5\nC 2 3 5e-324\nZ 2 4 1e-300 -1.7e+308\nL 3 4 1e-300\nR 3 2 4e+307\n",
+    "NET 5\nL 1 2 4e+307\nL 1 3 3.0\nZ 3 4 -3.0 -1e+300\nC 2 5 1.7e+308\nL 3 4 1e-10\n",
+    "NET 5\nL 1 2 2.5e-308\nL 2 3 1e-300\nZ 1 4 1e+300 -1e+300\nL 3 5 10000000000.0\nC 1 3 1.7e+308\n",
+    "NET 3\nZ 1 2 -1e+300 -1e-10\nC 1 3 1.7e+308\nL 1 3 3.0\nC 2 3 2.5e-308\nZ 2 3 -2.5e-308 1e+300\n",
+    "NET 4\nZ 1 2 1.7e+308 -10000000000.0\nL 2 3 10000000000.0\nZ 3 4 1.0 -1e+300\nC 3 4 3.0\nC 2 1 1e-300\nC 3 4 4e+307\n",
+    "NET 5\nL 1 2 1.0\nC 1 3 3.0\nC 2 4 1.7e+308\nZ 1 5 -1e+300 -1e+300\n",
+    "NET 4\nC 1 2 1.7e+308\nZ 2 3 -4e+307 -1e-300\nL 2 4 1e-300\n",
+    "NET 5\nR 1 2 1e+300\nC 2 3 1e-10\nL 2 4 0.5\nZ 3 5 -2.5e-308 -1e+300\nC 1 2 1.7e+308\n",
+    "NET 4\nC 1 2 3.0\nL 1 3 1e-300\nR 1 4 4e+307\nL 1 2 1e+300\n",
+    "NET 4\nC 1 2 4e+307\nZ 1 3 1.7e+308 -5e-324\nL 1 4 1e+300\nZ 4 2 -1.7e+308 1.0\nR 1 4 4e+307\nC 1 4 1.0\nL 2 1 1e-10\n",
+    "NET 4\nL 1 2 3.0\nR 2 3 4e+307\nC 1 4 0.5\nL 1 4 2.5e-308\n",
+    "NET 5\nL 1 2 0.5\nC 1 3 1e+300\nZ 1 4 1.0 4e+307\nR 3 5 1e+300\n",
+    "NET 4\nR 1 2 4e+307\nC 1 3 1e-10\nC 1 4 5e-324\nL 2 1 1e-300\nC 1 3 10000000000.0\nR 2 4 1e+300\n",
+    "NET 4\nL 1 2 0.5\nC 1 3 3.0\nZ 3 4 0.5 -1.7e+308\nC 2 1 1.7e+308\nL 1 2 1.0\n",
+    "NET 5\nC 1 2 0.5\nZ 2 3 4e+307 5e-324\nZ 3 4 -1.7e+308 -4e+307\nL 2 5 1e-300\nL 1 2 2.5e-308\n",
+    "NET 5\nL 1 2 1e-300\nL 2 3 1e+300\nZ 2 4 0.5 -1e+300\nC 2 5 1.7e+308\n",
+    "NET 4\nC 1 2 1.7e+308\nL 2 3 1e-10\nC 1 4 5e-324\nZ 3 2 1e-300 1.7e+308\n",
+    "NET 4\nC 1 2 4e+307\nL 2 3 4e+307\nZ 2 4 -10000000000.0 1e+300\nL 3 1 2.5e-308\n",
+    "NET 5\nL 1 2 1.0\nL 1 3 10000000000.0\nC 2 4 1.7e+308\nZ 3 5 -4e+307 -1.7e+308\nL 2 3 1e-300\nC 3 2 0.5\nZ 3 5 -1.7e+308 1.0\n",
+    "NET 4\nL 1 2 1e+300\nZ 2 3 -1e+300 -1e-10\nZ 1 4 1e+300 -2.5e-308\nC 1 3 4e+307\nL 1 2 1e-300\nC 2 3 4e+307\nC 3 2 1e-10\n",
+    "NET 5\nL 1 2 2.5e-308\nR 1 3 1.7e+308\nL 3 4 2.5e-308\nL 1 5 2.5e-308\nC 1 2 1e-10\n",
+    "NET 5\nC 1 2 1.7e+308\nZ 2 3 5e-324 1.7e+308\nC 1 4 5e-324\nL 3 5 2.5e-308\nL 3 5 0.5\nL 2 5 1e+300\n",
+    "NET 3\nR 1 2 1e+300\nC 2 3 0.5\nC 1 2 2.5e-308\nC 2 3 1e+300\nZ 1 2 -1e+300 1e-300\n",
+    "NET 4\nC 1 2 1.0\nR 1 3 4e+307\nL 2 4 1e-300\n",
+    "NET 5\nL 1 2 1e+300\nL 2 3 0.5\nR 2 4 1.7e+308\nC 1 5 1e+300\nL 2 5 1e+300\nL 3 2 0.5\n",
+    "NET 4\nL 1 2 1.7e+308\nC 2 3 2.5e-308\nZ 3 4 -1.7e+308 2.5e-308\nC 2 1 4e+307\nC 4 3 5e-324\nL 2 1 10000000000.0\n",
+    "NET 5\nZ 1 2 1.0 1.7e+308\nL 2 3 2.5e-308\nR 2 4 1.7e+308\nC 1 5 10000000000.0\nL 1 3 10000000000.0\n",
+    "NET 4\nC 1 2 4e+307\nL 1 3 3.0\nZ 1 4 -4e+307 -10000000000.0\nZ 4 2 -4e+307 -1e+300\n",
+    "NET 5\nL 1 2 0.5\nZ 2 3 1.7e+308 -1e+300\nC 2 4 5e-324\nR 4 5 1.7e+308\nC 1 5 4e+307\nZ 5 2 1.7e+308 10000000000.0\nR 2 5 4e+307\n",
+)
+
+
+def test_r_or_z_networks_take_the_companion_route():
+    # The element kinds choose the route: each search returns a report, and
+    # every omega it reports is RESONANT by the impedance query.
+    assert len(_FLUSHED_RZ) == 31
+    for netlist in _FLUSHED_RZ:
+        net = parse_netlist(netlist)
+        for w in find_resonances(net, 1e-300, 1e300).omegas:
+            status = two_point_impedance(net, w, 1, 2).status
+            assert status is ImpedanceStatus.RESONANT, (netlist, w)
 
 
 def test_underflowing_branch_energy_warns_nothing():
