@@ -17,9 +17,11 @@ may read it from any factorization L r_a = lambda_a conj(l_a) with r and l
 orthonormal, as sum_a (r_ap - r_aq)(l_ap - l_aq) / lambda_a; the u_a are
 the case r = l = u.  It reads only rows p and q, so both a single query
 and the all-pairs table take the rows they read from takagi_rows: two for
-a pair, all n for the table.  They factor L in
-node_system's unit of 2^e siemens, which owns the scaling: lambda and the
-mode sums stay in it, and to_float_range takes each impedance back to ohm.
+a pair, all n for the table.  Which lambda count as zero is decided once
+per query, by classify_zero_modes' threshold on the computed |lambda|.
+They factor L in node_system's unit of 2^e siemens, which owns the
+scaling: lambda and the mode sums stay in it, and to_float_range takes a
+result back to ohm once, the pair's value or the whole table.
 """
 
 from __future__ import annotations
@@ -52,17 +54,17 @@ class ImpedanceResult:
 
     status is RESONANT when a nontrivial mode has |lambda| at or below
     SINGULAR_REL_TOL times the network's admittance_scale, the rule the
-    direct route applies to its pivots, or at or below takagi_rows' noise
-    floor 16 n eps max|lambda|, which it zeroes first and which can be the
-    larger once n is about 15 or more (ROADMAP item 2).  value holds the
-    mode sum over retained (nonzero) modes; when RESONANT it is only the
-    finite principal part and the physical impedance diverges with strength
+    direct route applies to its pivots.  value holds the mode sum over
+    retained (nonzero) modes; when RESONANT it is only the finite principal
+    part and the physical impedance diverges with strength
     divergent_coefficient = ||P0 (e_p - e_q)||^2, where P0 projects onto the
     zero modes: the sum of |u_ap - u_aq|^2 over them, the same for any
     basis of the zero space.  min_nontrivial_abs_lambda is the smallest
-    |lambda| (in siemens) outside the trivial mode; near_resonance flags a finite
-    result whose smallest nontrivial |lambda| is within NEAR_RESONANCE_REL
-    (about 3.2e-5) of the largest, where the mode sum is poorly conditioned.
+    computed |lambda| (in siemens) outside the trivial mode, so a RESONANT
+    result reports how far below the threshold it fell; near_resonance
+    flags a finite result whose smallest nontrivial |lambda| is within
+    NEAR_RESONANCE_REL (about 3.2e-5) of the largest, where the mode sum is
+    poorly conditioned.
 
     A pair query holds a complex value and a float coefficient.  The
     all-pairs table holds (n, n) arrays indexed [p - 1, q - 1]; everything
@@ -101,10 +103,10 @@ def two_point_impedance(
     """
     w = check_angular_frequency(omega)
     p, q = check_pair(net, p, q)
-    lap, scale, e = node_system(net, w)
-    spec = _spectrum(takagi_rows(lap, (p - 1, q - 1)), scale, e)
-    value, coupling = _mode_sums(spec, 0, 1)
-    return _result(spec, w, complex(value), float(coupling))
+    modes = _modes(net, w, (p - 1, q - 1))
+    value, coupling = _mode_sums(modes, 0, 1)
+    value = to_float_range(np.array(value), modes.e, "the impedance")
+    return _result(modes, w, complex(value), float(coupling))
 
 
 def impedance_matrix(net: Network, omega: float) -> ImpedanceResult:
@@ -116,67 +118,59 @@ def impedance_matrix(net: Network, omega: float) -> ImpedanceResult:
     zero on the diagonal; divergent_coefficient is None when FINITE.
     """
     n = net.node_count
-    lap, scale, e = node_system(net, omega)
-    spec = _spectrum(takagi_rows(lap, range(n)), scale, e)
+    modes = _modes(net, omega, range(n))
     value = np.zeros((n, n), dtype=complex)
     coupling = np.zeros((n, n))
     for p in range(n - 1):
         rest = slice(p + 1, None)
-        value[p, rest], coupling[p, rest] = _mode_sums(spec, p, rest)
-    return _result(spec, float(omega), value + value.T, coupling + coupling.T)
+        value[p, rest], coupling[p, rest] = _mode_sums(modes, p, rest)
+    value = to_float_range(value + value.T, modes.e, "the impedance")
+    return _result(modes, float(omega), value, coupling + coupling.T)
 
 
-class _Spectrum(NamedTuple):
-    """Node-pair-independent part of an impedance query: the rows read,
-    split into the retained (nonzero) modes and the zero ones."""
+class _Modes(NamedTuple):
+    """Node-pair-independent part of an impedance query: the rows read of
+    the factorization of node_system's L, in its unit of 2^e S, and how
+    many of its columns are zero modes.  The columns ascend in |lambda|,
+    so the k zero columns come first and the rows are read as slices."""
 
-    live: np.ndarray  # rows r of the retained modes, one per node read
-    live_left: np.ndarray  # their rows l
-    inv_lam: np.ndarray  # their 1 / lambda in units of 2^-e ohm
+    dec: TakagiRows
+    k: int  # zero columns: the trivial mode and the resonant ones
+    inv_lam: np.ndarray  # 1 / lambda on the other columns, in units of 2^-e ohm
     e: int  # node_system's unit exponent
-    zero: np.ndarray  # rows of the zero modes
-    resonant: int  # dimension of the zero space past the trivial mode
-    min_abs: float  # smallest |lambda| in siemens outside the trivial mode
-    near_resonance: bool
 
 
-def _spectrum(dec: TakagiRows, scale: float, e: int) -> _Spectrum:
-    cls = classify_zero_modes(dec, math.ldexp(scale, -e))
-    retained = np.ones(dec.lam.size, dtype=bool)
-    retained[list(cls.zero_indices)] = False
-    mags = np.abs(dec.lam)
+def _modes(net: Network, omega: float, nodes) -> _Modes:
+    lap, scale, e = node_system(net, omega)
+    dec = takagi_rows(lap, nodes)
+    k = len(classify_zero_modes(dec, math.ldexp(scale, -e)).zero_indices)
+    return _Modes(dec, k, 1.0 / dec.lam[k:], e)
+
+
+def _mode_sums(modes: _Modes, i: int, j) -> tuple[np.ndarray, np.ndarray]:
+    """Between row i and the row or rows j of the rows read: the sums of
+    (r_i - r_j)(l_i - l_j) / lambda over the retained modes, in units of
+    2^-e ohm, and of |r_i - r_j|^2 over the zero ones."""
+    r, left, k = modes.dec.rows, modes.dec.left_rows, modes.k
+    # the layout picks BLAS's gemv kernel, and with it the last bits of each
+    # sum; column-major keeps the tables `impnet check` prints byte-identical
+    # to earlier versions (tools/replay_outputs.py compares them)
+    live = np.multiply(r[i, k:] - r[j, k:], left[i, k:] - left[j, k:], order="F")
+    return live @ modes.inv_lam, np.sum(np.abs(r[i, :k] - r[j, :k]) ** 2, axis=-1)
+
+
+def _result(modes: _Modes, omega: float, value, coupling) -> ImpedanceResult:
+    resonant = modes.k > 1
+    mags = np.abs(modes.dec.lam)
     # ascending: the trivial mode comes first
     min_abs = float(mags[1]) if mags.size > 1 else 0.0
-    return _Spectrum(
-        dec.rows[:, retained],
-        dec.left_rows[:, retained],
-        1.0 / dec.lam[retained],
-        e,
-        dec.rows[:, ~retained],
-        cls.nontrivial_zero_count,
-        math.ldexp(min_abs, e),
-        min_abs <= NEAR_RESONANCE_REL * float(mags.max()),
-    )
-
-
-def _mode_sums(spec: _Spectrum, i: int, j) -> tuple[np.ndarray, np.ndarray]:
-    """Between row i and the row or rows j of the rows read: the sums of
-    (r_i - r_j)(l_i - l_j) / lambda over the retained modes, in ohm
-    (to_float_range), and of |r_i - r_j|^2 over the zero ones."""
-    live = (spec.live[i] - spec.live[j]) * (spec.live_left[i] - spec.live_left[j])
-    zero = spec.zero[i] - spec.zero[j]
-    value = to_float_range(np.array(live @ spec.inv_lam), spec.e, "the impedance")
-    return value, np.sum(np.abs(zero) ** 2, axis=-1)
-
-
-def _result(spec: _Spectrum, omega: float, value, coupling) -> ImpedanceResult:
-    resonant = spec.resonant > 0
+    near = min_abs <= NEAR_RESONANCE_REL * float(mags.max())
     return ImpedanceResult(
         status=ImpedanceStatus.RESONANT if resonant else ImpedanceStatus.FINITE,
         value=value,
         omega=omega,
-        resonant_mode_count=spec.resonant,
+        resonant_mode_count=modes.k - 1,
         divergent_coefficient=coupling if resonant else None,
-        min_nontrivial_abs_lambda=spec.min_abs,
-        near_resonance=spec.near_resonance and not resonant,
+        min_nontrivial_abs_lambda=math.ldexp(min_abs, modes.e),
+        near_resonance=near and not resonant,
     )

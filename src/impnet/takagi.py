@@ -106,7 +106,7 @@ class TakagiRows:
 
     There are n columns, ascending in |lam|, a zero-space basis first; r_a
     and l_a are each orthonormal, and L^+ = sum_a r_a l_a^T / lam_a over the
-    columns with lam_a != 0.
+    columns outside the zero space.
 
     Attributes
     ----------
@@ -120,7 +120,7 @@ class TakagiRows:
     col_sums : numpy.ndarray
         (n,) sums sum_i r_ai.
     lam : numpy.ndarray
-        (n,) complex factorization values, zero on the zero columns.
+        (n,) complex factorization values, as computed.
     residual : float
         max_a of the 2-norm of L r_a - lam_a conj(l_a).  Computed when
         read, from the factors the result keeps, so a query that does not
@@ -170,6 +170,14 @@ def takagi_decompose(l: np.ndarray) -> TakagiDecomposition:
     TakagiDecomposition
         Vectors, values and sigma spectrum (ascending in |lambda|), and the
         worst-case defining-relation residual.
+
+    Every |lambda| at or below the eigensolver noise floor 16 n eps
+    max|lambda| is set to 0.  The order-2n embedding needs this: it holds
+    each zero mode twice, as eigenvalues +-0 that rounding moves off zero
+    by up to about the floor, and the count of them at or below it sizes
+    the zero block that the SVD reduces to k directions.  The real route
+    applies the same floor, so that both routes report alike.  No impedance
+    query calls this function; takagi_rows keeps its values as computed.
     """
     l = _check_symmetric(l)
     n = l.shape[0]
@@ -218,9 +226,10 @@ def takagi_rows(l: np.ndarray, nodes) -> TakagiRows:
     factorization: eigh of M when L = cM with M real and c = 1 or j
     (resistor or LC networks), where r_a = l_a = v_a and lam_a = c mu_a,
     else the SVD L = U Sigma V^H, where r_a = V_a, l_a = conj(U_a) and
-    lam_a = s_a.  Every |lam| at or below the noise floor 16 n eps max|lam|
-    is set to 0.  Unchecked precondition, met by node_system's L: l is
-    exactly symmetric with finite row sums of |l| (they bound |lambda|).
+    lam_a = s_a.  The values are kept as computed: which of them count as
+    zero is classify_zero_modes' decision.  Unchecked precondition, met by
+    node_system's L: l is exactly symmetric with finite row sums of |l|
+    (they bound |lambda|).
     """
     n = l.shape[0]
     real = _real_form(l)
@@ -233,7 +242,6 @@ def takagi_rows(l: np.ndarray, nodes) -> TakagiRows:
         u, s, vh = _eigensolve("Takagi factorization", np.linalg.svd, l)
         lam = s[::-1].astype(complex)
         conj_r, conj_l = vh[::-1].T, u[:, ::-1]
-    lam[np.abs(lam) <= _zero_floor(lam, n)] = 0.0
     nodes = list(nodes)
     return TakagiRows(
         order=n,
@@ -316,18 +324,14 @@ def classify_zero_modes(
     applies to its LU pivots.  scale must be a real number, finite and
     positive, else ValidationError.  This test does not depend on
     max|lambda|, and a Laplacian that cancels completely has only zero
-    modes; but the |lambda| of takagi_rows are already 0 at or below its
-    noise floor, 16 n eps max|lambda|, which can exceed SINGULAR_REL_TOL *
-    scale once n is about 15 or more, so there a wide spread of element
-    values can turn a small live mode into a zero (ROADMAP item 2).  Their
-    span, the zero space, must hold the constant vector (the trivial mode
-    every connected network has): ||P0 1|| / sqrt(n) >= 0.99, the norm of
-    the column sums over the zero columns, which is the same for any
-    orthonormal basis of that space.  Raises NoTrivialZeroError otherwise,
-    which signals input that is not a connected-network Laplacian.  The
-    nontrivial zero count is the dimension of the zero space less the
-    trivial mode.  Reads only |lambda| and the column sums, so a full
-    decomposition and the rows of takagi_rows classify alike.
+    modes.  Their span, the zero space, must hold the constant vector (the
+    trivial mode every connected network has): ||P0 1|| / sqrt(n) >= 0.99,
+    the norm of the column sums over the zero columns, which is the same
+    for any orthonormal basis of that space.  Raises NoTrivialZeroError
+    otherwise, which signals input that is not a connected-network
+    Laplacian.  The nontrivial zero count is the dimension of the zero
+    space less the trivial mode.  Reads only |lambda| and the column sums,
+    so a full decomposition and the rows of takagi_rows classify alike.
     """
     s = _as_number(scale)
     if s is None or not (math.isfinite(s) and s > 0.0):

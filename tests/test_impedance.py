@@ -21,6 +21,7 @@ from impnet import (
     assemble_laplacian,
     branch_admittances,
     classify_zero_modes,
+    find_resonances,
     grid_network,
     grid_resonances_analytic,
     impedance_matrix,
@@ -399,7 +400,7 @@ def test_pair_query_back_transforms_two_rows(monkeypatch, case):
         net = grid_network(10, 10, 1.0, 1.0)
         omega = 1.0 if case.endswith("resonant") else 0.7
     n = net.node_count
-    lap, _, _ = laplacian.node_system(net, omega)
+    lap, scale, e = laplacian.node_system(net, omega)
     calls = _count_factorization_calls(monkeypatch)
     r = two_point_impedance(net, omega, 1, n)
     assert calls["decompose"] == []
@@ -415,7 +416,11 @@ def test_pair_query_back_transforms_two_rows(monkeypatch, case):
     (dec,) = calls["rows"]
     assert dec.rows.shape == dec.left_rows.shape == (2, n)
     assert dec.lam.size == dec.col_sums.size == n
-    assert np.count_nonzero(dec.lam == 0.0) == r.resonant_mode_count + 1
+    # the zero rule of the query: |lam| against the scale in its unit 2^e S;
+    # the columns ascend in |lam|, so the zero ones lead and are read as a slice
+    threshold = laplacian.SINGULAR_REL_TOL * math.ldexp(scale, -e)
+    assert np.count_nonzero(np.abs(dec.lam) <= threshold) == r.resonant_mode_count + 1
+    assert (np.diff(np.abs(dec.lam)) >= 0.0).all()
     if case.endswith("resonant"):
         assert r.status is ImpedanceStatus.RESONANT and r.resonant_mode_count > 2
     # read now, the residual is that of L r_a = lam_a conj(l_a) over all n
@@ -629,6 +634,21 @@ def test_resonant_ring_reports_divergence():
     assert r.min_nontrivial_abs_lambda <= 1e-5
 
 
+def test_resonant_result_reports_its_computed_margin():
+    # At every root certified on the free 8x8 grid the pair query is
+    # RESONANT and reports the smallest nontrivial |lambda| as computed,
+    # between 0 and the zero threshold, not a 0 it was set to.
+    net = grid_network(8, 8, 1.0, 1.0)
+    ws = grid_resonances_analytic(8, 8, 1.0, 1.0).omegas
+    report = find_resonances(net, 0.8 * ws[0], 1.2 * ws[-1])
+    assert report.certified_count == report.distinct_count > 40
+    for w in report.omegas:
+        r = two_point_impedance(net, w, 1, 2)
+        assert r.status is ImpedanceStatus.RESONANT, w
+        threshold = laplacian.SINGULAR_REL_TOL * admittance_scale(net, w)
+        assert 0.0 < r.min_nontrivial_abs_lambda <= threshold, w
+
+
 def test_near_resonance_flag():
     # Detuning chosen so the smallest nontrivial sigma lands between the
     # zero threshold (1e-10 of sigma_max) and ten times it: finite verdict,
@@ -660,6 +680,42 @@ def test_wide_spread_resistor_networks_never_resonant(decades):
         if decades <= 3.0:
             d = solve_direct(net, 1.0, 1, 30)
             assert abs(r.value - d) <= 1e-8 * abs(d), f"trial {trial}"
+
+
+def test_band_under_the_noise_floor_is_decided_by_the_zero_rule():
+    # A 30-node resistor network spanning 1e+-7 ohm whose smallest
+    # nontrivial |lambda| (6.5e-7 S) lies above the zero threshold
+    # 1e-13 * scale (4.5e-7 S) but below the eigensolver noise floor
+    # 16 n eps max|lambda|.  Zeroing |lambda| under that floor called it
+    # RESONANT while the direct route solves it; the computed |lambda|
+    # against the one threshold gives the finite value both routes agree on.
+    rng = np.random.default_rng(22)
+    net = random_connected_network(rng, 30, 30, kinds="R", decades=7.0)
+    r = two_point_impedance(net, 1.0, 1, 2)
+    d = solve_direct(net, 1.0, 1, 2)
+    assert not isinstance(d, SingularSystem)
+    assert r.status is ImpedanceStatus.FINITE
+    threshold = laplacian.SINGULAR_REL_TOL * admittance_scale(net, 1.0)
+    assert threshold < r.min_nontrivial_abs_lambda < 2.0 * threshold
+    assert abs(r.value - d) <= 1e-9 * abs(d)
+
+
+@pytest.mark.parametrize("net", [
+    random_connected_network(np.random.default_rng(240), 240, 240, kinds, decades)
+    for kinds, decades in (("R", 5.0), ("RLCZ", 3.0), ("LC", 1.0))
+] + [grid_network(20, 20, 1.0, 1.0)], ids=["R1e5", "RLCZ1e3", "LC", "grid20x20"])
+def test_trivial_mode_clears_the_zero_rule_as_computed(net):
+    # The constant vector is an exact null vector of every assembled L, and
+    # its computed |lambda| sits far below the zero threshold without being
+    # set to 0, so a connected network always finds its trivial mode.
+    for omega in (0.01, 0.7, 3.0):
+        two_point_impedance(net, omega, 1, 2)  # no NoTrivialZeroError
+        lap, scale, e = laplacian.node_system(net, omega)
+        dec = takagi.takagi_rows(lap, (0, 1))
+        a = int(np.argmax(np.abs(dec.col_sums)))
+        assert abs(dec.col_sums[a]) >= 0.99 * math.sqrt(dec.order)
+        threshold = laplacian.SINGULAR_REL_TOL * math.ldexp(scale, -e)
+        assert abs(dec.lam[a]) <= 0.05 * threshold, omega
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
